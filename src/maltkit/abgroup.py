@@ -6,7 +6,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InternalError, InvariantViolation
+from .laws import require, require_range
 
 
 @dataclass(frozen=True)
@@ -18,35 +21,22 @@ class AbelianGroup:
         n = self.size
         if len(self.add) != n * n:
             raise InvariantViolation("abgroup-table-length", len(self.add))
-        for v in self.add:
-            if not 0 <= v < n:
-                raise InvariantViolation("abgroup-entry", v)
-        zero = None
-        for e in range(n):
-            if all(self.add[e * n + a] == a for a in range(n)):
-                zero = e
-                break
-        if zero is None:
+        require_range("abgroup-entry", self.add, n)
+        add = np.reshape(self.add, (n, n))
+        units = np.flatnonzero((add == np.arange(n)).all(axis=1))
+        if not units.size:
             raise InvariantViolation("abgroup-zero", self.add)
-        neg = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if self.add[a * n + b] == zero:
-                    neg[a] = b
-            if neg[a] is None:
-                raise InvariantViolation("abgroup-inverses", a)
-        for a in range(n):
-            for b in range(n):
-                if self.add[a * n + b] != self.add[b * n + a]:
-                    raise InvariantViolation("abgroup-commutative", (a, b))
-                for c in range(n):
-                    if (
-                        self.add[self.add[a * n + b] * n + c]
-                        != self.add[a * n + self.add[b * n + c]]
-                    ):
-                        raise InvariantViolation("abgroup-associative", (a, b, c))
+        zero = int(units[0])
+        inverse = add == zero
+        missing = np.flatnonzero(~inverse.any(axis=1))
+        if missing.size:
+            raise InvariantViolation("abgroup-inverses", int(missing[0]))
+        require((n, n, n), [
+            ("abgroup-commutative", lambda a, b: add[a, b] == add[b, a]),
+            ("abgroup-associative", lambda a, b, c: add[add[a, b], c] == add[a, add[b, c]]),
+        ])
         object.__setattr__(self, "zero", zero)
-        object.__setattr__(self, "neg", tuple(neg))
+        object.__setattr__(self, "neg", tuple(inverse.argmax(axis=1).tolist()))
 
     def plus(self, a: int, b: int) -> int:
         return self.add[a * self.size + b]
@@ -105,6 +95,38 @@ def generating_sequence(g: AbelianGroup) -> list[int]:
     return gens
 
 
+def extend_additive(src: AbelianGroup, dst: AbelianGroup, images):
+    """Fold (element, image) pairs into a map src -> dst, closing under
+    addition after each pair.
+
+    Returns (table, conflict): table[x] is the image of x, None where the
+    pairs do not reach x; conflict is the first element found with two
+    different images, and None when there is none.
+    """
+    table = [None] * src.size
+    table[src.zero] = dst.zero
+    frontier = [src.zero]
+    for x, img in images:
+        if table[x] is None:
+            table[x] = img
+            frontier.append(x)
+        elif table[x] != img:
+            return table, x
+        while frontier:
+            y = frontier.pop()
+            for u in range(src.size):
+                if table[u] is None:
+                    continue
+                v = src.plus(u, y)
+                w = dst.plus(table[u], table[y])
+                if table[v] is None:
+                    table[v] = w
+                    frontier.append(v)
+                elif table[v] != w:
+                    return table, v
+    return table, None
+
+
 def additive_maps(src: AbelianGroup, dst: AbelianGroup) -> list[tuple[int, ...]]:
     """All group homomorphisms src -> dst as value tables, in a stable order.
 
@@ -115,34 +137,8 @@ def additive_maps(src: AbelianGroup, dst: AbelianGroup) -> list[tuple[int, ...]]
     gens = generating_sequence(src)
     out = []
     for images in itertools.product(range(dst.size), repeat=len(gens)):
-        table = [None] * src.size
-        table[src.zero] = dst.zero
-        ok = True
-        frontier = [src.zero]
-        # fold generators in one at a time, closing under addition
-        for gdx, img in zip(gens, images):
-            if not ok:
-                break
-            if table[gdx] is None:
-                table[gdx] = img
-                frontier.append(gdx)
-            elif table[gdx] != img:
-                ok = False
-                break
-            while frontier and ok:
-                y = frontier.pop()
-                for x in range(src.size):
-                    if table[x] is None:
-                        continue
-                    v = src.plus(x, y)
-                    img_v = dst.plus(table[x], table[y])
-                    if table[v] is None:
-                        table[v] = img_v
-                        frontier.append(v)
-                    elif table[v] != img_v:
-                        ok = False
-                        break
-        if not ok or any(v is None for v in table):
+        table, conflict = extend_additive(src, dst, zip(gens, images))
+        if conflict is not None or None in table:
             continue
         # final consistency sweep (guards against partially-closed folds)
         if all(

@@ -6,16 +6,21 @@ x in M and r_i in R; on any affinity it acts as
     u(a_0, ..., a_{n-1}) = phi_{a_0}(x) +_{a_0} (r_1)_{a_0} a_1 +_{a_0} ...
 
 Composition is implemented symbolically (compose_affinity) and checked
-against a functional interpretation on free affinities.  This module also
-hosts affinity-axiom checking, abelianization of an abelian Maltsev clone
-with its round-trip check, pseudoconstants, and the with-constants theory
-of a ring-module pair.
+against a functional interpretation on free affinities, whose herd,
+scaling and translation tables canonical_affinity_tables builds as arrays.
+The affinity axioms are checked on such tables by the kernel of `laws`.
+This module also hosts abelianization of an abelian Maltsev clone with
+its round-trip check, pseudoconstants, and the with-constants theory of a
+ring-module pair.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .algebra import FiniteAlgebra, Operation, TermOp, term_clone, tuple_index
 from .algebra import DEFAULT_CLONE_BUDGET
@@ -28,6 +33,7 @@ from .errors import (
     NotAbelian,
     NotMaltsev,
 )
+from .laws import first_violation, require_range
 from .maltsev import is_maltsev_table
 from .rings import FiniteRing, LeftModule, LinearForm
 
@@ -146,104 +152,46 @@ class FreeAffinity:
     def size(self) -> int:
         return self.form.module.size * self.form.ring.size ** (self.rank - 1)
 
-    def decode(self, e: int):
-        R = self.form.ring
-        parts = []
-        for _ in range(self.rank - 1):
-            parts.append(e % R.size)
-            e //= R.size
-        return e, tuple(reversed(parts))
+    @cached_property
+    def tables(self):
+        """canonical_affinity_tables of this affinity, built once."""
+        return canonical_affinity_tables(self.form, self.rank)
 
-    def encode(self, m: int, rs) -> int:
-        R = self.form.ring
-        e = m
-        for r in rs:
-            e = e * R.size + r
-        return e
+    def herd(self, u, v, w):
+        n, herd, _, _ = self.tables
+        return herd[(u * n + v) * n + w]
 
-    def plus(self, a: int, b: int) -> int:
-        ma, ra = self.decode(a)
-        mb, rb = self.decode(b)
-        M, R = self.form.module, self.form.ring
-        return self.encode(M.plus(ma, mb), tuple(R.plus(x, y) for x, y in zip(ra, rb)))
+    def evaluate(self, op: AffinityOp, args):
+        """Chain the primitive operations exactly as the theory prescribes.
 
-    def minus(self, a: int, b: int) -> int:
-        ma, ra = self.decode(a)
-        mb, rb = self.decode(b)
-        M, R = self.form.module, self.form.ring
-        return self.encode(M.minus(ma, mb), tuple(R.minus(x, y) for x, y in zip(ra, rb)))
-
-    def smul(self, r: int, a: int) -> int:
-        ma, ra = self.decode(a)
-        M, R = self.form.module, self.form.ring
-        return self.encode(M.smul(r, ma), tuple(R.mulv(r, x) for x in ra))
-
-    def include(self, x: int) -> int:
-        return self.encode(x, (self.form.ring.zero,) * (self.rank - 1))
-
-    def herd(self, u: int, v: int, w: int) -> int:
-        return self.plus(self.minus(u, v), w)
-
-    def scale(self, r: int, base: int, target: int) -> int:
-        # r_a b = (1-r) a + r b
-        R = self.form.ring
-        return self.plus(
-            self.smul(R.minus(R.one, r), base), self.smul(r, target)
-        )
-
-    def phi(self, x: int, base: int) -> int:
-        # phi_a(x) = incl(x) + (1 - d x) a
-        R = self.form.ring
-        return self.plus(
-            self.include(x), self.smul(R.minus(R.one, self.form.d[x]), base)
-        )
-
-    def evaluate(self, op: AffinityOp, args) -> int:
-        """Chain the primitive operations exactly as the theory prescribes."""
+        The arguments may be ints or index arrays that broadcast together.
+        """
         if len(args) != op.arity:
             raise ArityError(f"op arity {op.arity}, got {len(args)} arguments")
+        n, herd, raction, phi = self.tables
         base = args[0]
-        acc = self.phi(op.m_part, base)
+        acc = phi[op.m_part * n + base]
         for r, a in zip(op.r_parts, args[1:]):
-            acc = self.herd(acc, base, self.scale(r, base, a))
+            acc = herd[(acc * n + base) * n + raction[(r * n + base) * n + a]]
         return acc
 
     def op_table(self, op: AffinityOp) -> tuple[int, ...]:
         n = self.size
-        return tuple(
-            self.evaluate(op, args)
-            for args in itertools.product(range(n), repeat=op.arity)
-        )
+        values = self.evaluate(op, np.ix_(*[np.arange(n)] * op.arity))
+        return tuple(np.broadcast_to(values, (n,) * op.arity).ravel().tolist())
 
     def algebra(self) -> FiniteAlgebra:
         """The free affinity as a finite algebra with the primitive operations."""
-        n = self.size
-        R, M = self.form.ring, self.form.module
-        ops = [
-            Operation(
-                "herd",
-                3,
-                tuple(
-                    self.herd(u, v, w)
-                    for u, v, w in itertools.product(range(n), repeat=3)
-                ),
-            )
+        n, herd, raction, phi = self.tables
+        ops = [Operation("herd", 3, tuple(herd.tolist()))]
+        ops += [
+            Operation(f"sc{r}", 2, tuple(table.tolist()))
+            for r, table in enumerate(raction.reshape(-1, n * n))
         ]
-        for r in range(R.size):
-            ops.append(
-                Operation(
-                    f"sc{r}",
-                    2,
-                    tuple(
-                        self.scale(r, a, b)
-                        for a, b in itertools.product(range(n), repeat=2)
-                    ),
-                )
-            )
-        for x in range(M.size):
-            ops.append(
-                Operation(f"ph{x}", 1, tuple(self.phi(x, a) for a in range(n)))
-            )
+        ops += [
+            Operation(f"ph{x}", 1, tuple(table.tolist()))
+            for x, table in enumerate(phi.reshape(-1, n))
+        ]
         return FiniteAlgebra(n, tuple(ops), name=f"free-affinity-{self.rank}")
 
 
@@ -276,129 +224,110 @@ class AffinityCheckReport:
 def affinity_axiom_check(
     form: LinearForm,
     size: int,
-    herd: tuple[int, ...],
-    raction: tuple[int, ...],
-    phi: tuple[int, ...],
+    herd,
+    raction,
+    phi,
 ) -> AffinityCheckReport:
     """Exhaustively check the affinity identities over the given tables.
 
     herd is a flat size^3 table b +_a c indexed (b, a, c); raction a flat
     |R| x size x size table r_a b indexed (r, a, b); phi a flat
-    |M| x size table indexed (x, a).
+    |M| x size table indexed (x, a).  The laws are checked one after the
+    other, each over all its tuples in lexicographic order.
     """
     R, M = form.ring, form.module
-    n = size
-    if len(herd) != n**3 or len(raction) != R.size * n * n or len(phi) != M.size * n:
+    n, nr, nm = size, R.size, M.size
+    if len(herd) != n**3 or len(raction) != nr * n * n or len(phi) != nm * n:
         raise InvariantViolation("affinity-table-length", None)
+    for table in (herd, raction, phi):
+        require_range("affinity-table-entry", table, n)
+    H = np.reshape(herd, (n, n, n))
+    A = np.reshape(raction, (nr, n, n))
+    P = np.reshape(phi, (nm, n))
+    radd, rmul = np.reshape(R.add, (nr, nr)), np.reshape(R.mul, (nr, nr))
+    madd, mact = np.reshape(M.add, (nm, nm)), np.reshape(M.act, (nr, nm))
+    minus_one = R.neg(R.one)
+    one_minus_d = np.array([R.minus(R.one, v) for v in form.d])
 
-    def H(b, a, c):
-        return herd[(b * n + a) * n + c]
+    def sub(b, a, c):  # b -_a c = b +_a (-1)_a c
+        return H[b, a, A[minus_one, a, c]]
 
-    def act(r, a, b):
-        return raction[(r * n + a) * n + b]
-
-    def PH(x, a):
-        return phi[x * n + a]
-
-    def neg(a, c):  # (-1)_a c
-        return act(R.neg(R.one), a, c)
-
-    def sub(b, a, c):  # b -_a c
-        return H(b, a, neg(a, c))
-
-    checks = []
-    def law(name, quantifier, predicate):
-        checks.append((name, quantifier, predicate))
-
-    rng = range(n)
-    law(
-        "plus-associative",
-        itertools.product(rng, rng, rng, rng),
-        lambda t: H(t[1], t[0], H(t[2], t[0], t[3])) == H(H(t[1], t[0], t[2]), t[0], t[3]),
-    )
-    law("plus-unit", itertools.product(rng, rng), lambda t: H(t[0], t[0], t[1]) == t[1])
-    law(
-        "plus-commutative",
-        itertools.product(rng, rng, rng),
-        lambda t: H(t[1], t[0], t[2]) == H(t[2], t[0], t[1]),
-    )
-    law("minus-self", itertools.product(rng, rng), lambda t: sub(t[1], t[0], t[1]) == t[0])
-    law(
-        "scale-distributes",
-        itertools.product(range(R.size), rng, rng, rng),
-        lambda t: act(t[0], t[1], H(t[2], t[1], t[3]))
-        == H(act(t[0], t[1], t[2]), t[1], act(t[0], t[1], t[3])),
-    )
-    law(
-        "scale-adds",
-        itertools.product(range(R.size), range(R.size), rng, rng),
-        lambda t: act(R.plus(t[0], t[1]), t[2], t[3])
-        == H(act(t[0], t[2], t[3]), t[2], act(t[1], t[2], t[3])),
-    )
-    law(
-        "scale-unit",
-        itertools.product(rng, rng),
-        lambda t: act(R.one, t[0], t[1]) == t[1],
-    )
-    law(
-        "scale-multiplies",
-        itertools.product(range(R.size), range(R.size), rng, rng),
-        lambda t: act(t[0], t[2], act(t[1], t[2], t[3]))
-        == act(R.mulv(t[0], t[1]), t[2], t[3]),
-    )
-    law(
-        "phi-additive",
-        itertools.product(range(M.size), range(M.size), rng),
-        lambda t: PH(M.plus(t[0], t[1]), t[2])
-        == H(PH(t[0], t[2]), t[2], PH(t[1], t[2])),
-    )
-    law(
-        "phi-linear",
-        itertools.product(range(R.size), range(M.size), rng),
-        lambda t: PH(M.smul(t[0], t[1]), t[2]) == act(t[0], t[2], PH(t[1], t[2])),
-    )
-    # coordinate change across base points
-    law(
-        "base-change-plus",
-        itertools.product(rng, rng, rng, rng),
-        lambda t: H(t[2], t[1], t[3])
-        == H(H(sub(t[2], t[0], t[1]), t[0], sub(t[3], t[0], t[1])), t[0], t[1]),
-    )
-    law(
-        "base-change-scale",
-        itertools.product(range(R.size), rng, rng, rng),
-        lambda t: act(t[0], t[2], t[3])
-        == H(act(t[0], t[1], sub(t[3], t[1], t[2])), t[1], t[2]),
-    )
-    law(
-        "base-change-phi",
-        itertools.product(range(M.size), rng, rng),
-        lambda t: PH(t[0], t[2])
-        == H(PH(t[0], t[1]), t[1], act(R.minus(R.one, form.d[t[0]]), t[1], t[2])),
-    )
-
-    for name, quantifier, predicate in checks:
-        for t in quantifier:
-            if not predicate(t):
-                return AffinityCheckReport(False, name, t)
+    laws = [
+        ("plus-associative", (n, n, n, n),
+         lambda a, b, c, e: H[b, a, H[c, a, e]] == H[H[b, a, c], a, e]),
+        ("plus-unit", (n, n), lambda a, b: H[a, a, b] == b),
+        ("plus-commutative", (n, n, n), lambda a, b, c: H[b, a, c] == H[c, a, b]),
+        ("minus-self", (n, n), lambda a, b: sub(b, a, b) == a),
+        ("scale-distributes", (nr, n, n, n),
+         lambda r, a, b, c: A[r, a, H[b, a, c]] == H[A[r, a, b], a, A[r, a, c]]),
+        ("scale-adds", (nr, nr, n, n),
+         lambda r, s, a, b: A[radd[r, s], a, b] == H[A[r, a, b], a, A[s, a, b]]),
+        ("scale-unit", (n, n), lambda a, b: A[R.one, a, b] == b),
+        ("scale-multiplies", (nr, nr, n, n),
+         lambda r, s, a, b: A[r, a, A[s, a, b]] == A[rmul[r, s], a, b]),
+        ("phi-additive", (nm, nm, n),
+         lambda x, y, a: P[madd[x, y], a] == H[P[x, a], a, P[y, a]]),
+        ("phi-linear", (nr, nm, n), lambda r, x, a: P[mact[r, x], a] == A[r, a, P[x, a]]),
+        # coordinate change across base points
+        ("base-change-plus", (n, n, n, n),
+         lambda o, a, b, c: H[b, a, c] == H[H[sub(b, o, a), o, sub(c, o, a)], o, a]),
+        ("base-change-scale", (nr, n, n, n),
+         lambda r, o, a, b: A[r, a, b] == H[A[r, o, sub(b, o, a)], o, a]),
+        ("base-change-phi", (nm, n, n),
+         lambda x, o, a: P[x, a] == H[P[x, o], o, A[one_minus_d[x], o, a]]),
+    ]
+    for name, sizes, holds in laws:
+        hit = first_violation(sizes, [(name, holds)])
+        if hit is not None:
+            return AffinityCheckReport(False, *hit)
     return AffinityCheckReport(True, None, None)
 
 
 def canonical_affinity_tables(form: LinearForm, rank: int = 1):
-    """Tables of the free affinity of the given rank, for axiom checking."""
-    fa = FreeAffinity(form, rank)
-    n = fa.size
-    herd = tuple(
-        fa.herd(b, a, c) for b, a, c in itertools.product(range(n), repeat=3)
-    )
-    raction = tuple(
-        fa.scale(r, a, b)
-        for r, a, b in itertools.product(range(form.ring.size), range(n), range(n))
-    )
-    phi = tuple(
-        fa.phi(x, a)
-        for x, a in itertools.product(range(form.module.size), range(n))
-    )
+    """Flat tables (size, herd, raction, phi) of the free affinity of the
+    given rank, in the layout affinity_axiom_check reads.
+
+    An element is its coordinates (m, r_1, ..., r_{rank-1}) in M x R^(rank-1),
+    encoded mixed-radix with the module part most significant; addition,
+    negation and scaling act coordinatewise.
+    """
+    if rank < 1:
+        raise InvariantViolation("free-affinity-rank", rank)
+    R, M = form.ring, form.module
+    nr, nm, k = R.size, M.size, rank - 1
+    n = nm * nr**k
+    radd, rmul = np.reshape(R.add, (nr, nr)), np.reshape(R.mul, (nr, nr))
+    madd, mact = np.reshape(M.add, (nm, nm)), np.reshape(M.act, (nr, nm))
+    rneg, mneg = np.asarray(R.additive_group().neg), np.asarray(M.additive_group().neg)
+    e = np.arange(n)
+    coords = [e // nr**k] + [e // nr ** (k - 1 - j) % nr for j in range(k)]
+
+    def plus(u, v):
+        return [madd[u[0], v[0]]] + [radd[a, b] for a, b in zip(u[1:], v[1:])]
+
+    def neg(u):
+        return [mneg[u[0]]] + [rneg[a] for a in u[1:]]
+
+    def smul(r, u):
+        return [mact[r, u[0]]] + [rmul[r, a] for a in u[1:]]
+
+    def encode(u, shape):
+        out = u[0]
+        for a in u[1:]:
+            out = out * nr + a
+        return np.broadcast_to(out, shape).ravel()
+
+    def axis(i, dims):  # the coordinates of the elements along axis i of dims axes
+        return [c.reshape((-1,) + (1,) * (dims - 1 - i)) for c in coords]
+
+    b, a, c = axis(0, 3), axis(1, 3), axis(2, 3)
+    herd = encode(plus(plus(b, neg(a)), c), (n, n, n))
+    r = np.arange(nr).reshape(-1, 1, 1)
+    one_minus_r = radd[R.one, rneg[r]]
+    raction = encode(plus(smul(one_minus_r, a), smul(r, c)), (nr, n, n))
+    x = np.arange(nm).reshape(-1, 1)
+    one_minus_dx = radd[R.one, rneg[np.asarray(form.d)]].reshape(-1, 1)
+    phi = encode(plus([x] + [R.zero] * k, smul(one_minus_dx, axis(1, 2))), (nm, n))
     return n, herd, raction, phi
 
 
@@ -574,10 +503,10 @@ def roundtrip_check(
     on M), so the recovered form is the input up to isomorphism.
     """
     fa = FreeAffinity(form, 2)
-    alg = fa.algebra()
-    report = affinity_axiom_check(form, *canonical_affinity_tables(form, 2))
+    report = affinity_axiom_check(form, *fa.tables)
     if not report.ok:
         raise InternalError(f"free affinity fails its own axioms: {report.law}")
+    alg = fa.algebra()
     herd_term = TermOp(
         3,
         alg.op("herd").table,

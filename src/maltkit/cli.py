@@ -120,14 +120,7 @@ def main(argv=None) -> int:
     parser = _Parser(prog="mk", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--golden", action="store_true", help="pre-formatted text output")
-    common.add_argument("--json", action="store_true", help="JSON output (default)")
     common.add_argument("--budget", type=int, default=DEFAULT_CLONE_BUDGET)
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="reserved; execution is sequential and output is thread-count independent",
-    )
     sub = parser.add_subparsers(dest="verb")
 
     def add(name, *specs):
@@ -166,8 +159,6 @@ def main(argv=None) -> int:
     if args.verb is None:
         parser.print_usage(sys.stderr)
         return USAGE_EXIT
-    if args.threads < 1:
-        parser.error("--threads must be positive")
 
     try:
         return _dispatch(args)

@@ -4,8 +4,9 @@ Maltsev lift along an extension of theories."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .abgroup import AbelianGroup, additive_maps
 from .affinity import (
@@ -23,6 +24,7 @@ from .errors import (
     InvariantViolation,
     NotMaltsev,
 )
+from .laws import first_violation
 from .maltsev import TernaryTable, check_maltsev
 from .rings import DBimodule, LeftModule, LinearForm, submodule
 
@@ -51,23 +53,29 @@ class FormExtension:
             raise DiagramError("maps must be surjective")
         if p[S.one] != R.one or p[S.zero] != R.zero:
             raise DiagramError("ring map must preserve 0 and 1")
-        for a in range(S.size):
-            for b in range(S.size):
-                if p[S.plus(a, b)] != R.plus(p[a], p[b]):
-                    raise DiagramError(f"ring map not additive at {(a, b)}")
-                if p[S.mulv(a, b)] != R.mulv(p[a], p[b]):
-                    raise DiagramError(f"ring map not multiplicative at {(a, b)}")
-        for x in range(N.size):
-            for y in range(N.size):
-                if q[N.plus(x, y)] != M.plus(q[x], q[y]):
-                    raise DiagramError(f"module map not additive at {(x, y)}")
-        for s in range(S.size):
-            for x in range(N.size):
-                if q[N.smul(s, x)] != M.smul(p[s], q[x]):
-                    raise DiagramError(f"module map not equivariant at {(s, x)}")
-        for x in range(N.size):
-            if self.base.d[q[x]] != p[self.total.d[x]]:
-                raise DiagramError(f"square does not commute at {x}")
+        P, Q = np.asarray(p), np.asarray(q)
+        sadd, smul = np.reshape(S.add, (S.size, S.size)), np.reshape(S.mul, (S.size, S.size))
+        radd, rmul = np.reshape(R.add, (R.size, R.size)), np.reshape(R.mul, (R.size, R.size))
+        nadd, nact = np.reshape(N.add, (N.size, N.size)), np.reshape(N.act, (S.size, N.size))
+        madd, mact = np.reshape(M.add, (M.size, M.size)), np.reshape(M.act, (R.size, M.size))
+        d_total, d_base = np.asarray(self.total.d), np.asarray(self.base.d)
+        for sizes, laws in (
+            ((S.size, S.size), [
+                ("ring map not additive", lambda a, b: P[sadd[a, b]] == radd[P[a], P[b]]),
+                ("ring map not multiplicative", lambda a, b: P[smul[a, b]] == rmul[P[a], P[b]]),
+            ]),
+            ((N.size, N.size), [
+                ("module map not additive", lambda x, y: Q[nadd[x, y]] == madd[Q[x], Q[y]]),
+            ]),
+            ((S.size, N.size), [
+                ("module map not equivariant", lambda s, x: Q[nact[s, x]] == mact[P[s], Q[x]]),
+            ]),
+            ((N.size,), [("square does not commute", lambda x: d_base[Q[x]] == P[d_total[x]])]),
+        ):
+            hit = first_violation(sizes, laws)
+            if hit is not None:
+                what, witness = hit
+                raise DiagramError(f"{what} at {witness[0] if len(witness) == 1 else witness}")
 
     def ring_kernel(self) -> tuple[int, ...]:
         S, R = self.total.ring, self.base.ring

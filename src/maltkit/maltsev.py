@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .algebra import DEFAULT_CLONE_BUDGET, FiniteAlgebra, TermOp, iter_term_ops, tuple_index
 from .congruence import Congruence, _UnionFind, congruence_violation
 from .errors import (
@@ -20,6 +22,7 @@ from .errors import (
     InvariantViolation,
     NotAHerd,
 )
+from .laws import first_violation, require_range
 
 FULL = "full"
 FIBERED = "fibered"
@@ -35,7 +38,8 @@ class TernaryTable:
     name: str = field(default="", compare=False)
 
     # entries are stored flat over the *declared* domain in lexicographic
-    # order of the triples; `_offsets` rebuilds the triple -> slot map.
+    # order of the triples; `_table` holds them as an n x n x n array with
+    # -1 outside the domain, which is what lookups and the law checks read.
 
     def __post_init__(self):
         if self.kind not in (FULL, FIBERED, MIXED):
@@ -48,12 +52,11 @@ class TernaryTable:
             raise InvariantViolation(
                 "tern-entries-length", (len(self.entries), len(dom))
             )
-        for v in self.entries:
-            if not 0 <= v < self.size:
-                raise InvariantViolation("tern-entry-range", v)
-        object.__setattr__(
-            self, "_slots", {t: i for i, t in enumerate(dom)}
-        )
+        require_range("tern-entry-range", self.entries, self.size)
+        n = max(self.size, 0)
+        table = np.full(n**3, -1)
+        table[[(x * n + y) * n + z for x, y, z in dom]] = self.entries
+        object.__setattr__(self, "_table", table.reshape(n, n, n))
 
     def domain(self):
         n = self.size
@@ -77,13 +80,12 @@ class TernaryTable:
         )
 
     def defined(self, triple) -> bool:
-        return triple in self._slots
+        return all(0 <= v < self.size for v in triple) and self._table[tuple(triple)] >= 0
 
     def __call__(self, x: int, y: int, z: int) -> int:
-        slot = self._slots.get((x, y, z))
-        if slot is None:
+        if not self.defined((x, y, z)):
             raise DomainError(f"triple {(x, y, z)} outside declared domain")
-        return self.entries[slot]
+        return int(self._table[x, y, z])
 
     @classmethod
     def full_from_fn(cls, size: int, fn, name: str = "") -> "TernaryTable":
@@ -128,86 +130,54 @@ class TernaryTable:
 
 def check_maltsev(m: TernaryTable) -> bool:
     """m(x,y,y) = x = m(y,y,x) on the declared domain."""
-    n = m.size
-    if m.kind == FULL:
-        pairs = itertools.product(range(n), repeat=2)
-        return all(m(x, y, y) == x and m(y, y, x) == x for x, y in pairs)
-    if m.kind == FIBERED:
-        return all(
-            m(x, y, y) == x and m(y, y, x) == x
-            for x in range(n)
-            for y in range(n)
-            if m.base[x] == m.base[y]
-        )
-    # mixed: (x,y,y) needs p(x)=p(y); (y,y,x) is defined for every x
-    ok_right = all(m(y, y, x) == x for y in range(n) for x in range(n))
-    ok_left = all(
-        m(x, y, y) == x
-        for x in range(n)
-        for y in range(n)
-        if m.base[x] == m.base[y]
-    )
-    return ok_left and ok_right
+    T = m._table
+    return first_violation((m.size, m.size), [
+        ("maltsev", lambda x, y: ((T[x, y, y] == x) | (T[x, y, y] < 0))
+         & ((T[y, y, x] == x) | (T[y, y, x] < 0))),
+    ]) is None
 
 
-def _assoc_quantifier(m: TernaryTable):
-    """5-tuples (u,v,x,y,z) for which both sides of associativity are formed."""
-    n = m.size
-    if m.kind == FULL:
-        return itertools.product(range(n), repeat=5)
-    if m.kind == FIBERED:
-        def gen():
-            for u, v, x, y, z in itertools.product(range(n), repeat=5):
-                if m.defined((u, v, x)) and m.defined((x, y, z)):
-                    yield u, v, x, y, z
-        return gen()
-    def gen_mixed():
-        for u in range(n):
-            for v in range(n):
-                if m.base[u] != m.base[v]:
-                    continue
-                for x in range(n):
-                    for y in range(n):
-                        if m.base[x] != m.base[y]:
-                            continue
-                        for z in range(n):
-                            yield u, v, x, y, z
-    return gen_mixed()
+def _associativity_failure(m: TernaryTable):
+    """The first (u,v,x,y,z) with m(u,v,x) and m(x,y,z) declared at which
+    m(u,v,m(x,y,z)) = m(m(u,v,x),y,z) fails, or None.
+
+    Raises DomainError where, at an earlier tuple, a composite leaves the
+    declared domain: the same triple that evaluating the two sides in
+    order would have consulted.
+    """
+    T = m._table
+
+    def declared(u, v, x, y, z):
+        return (T[u, v, x] >= 0) & (T[x, y, z] >= 0)
+
+    hit = first_violation((m.size,) * 5, [
+        ("left", lambda u, v, x, y, z: ~declared(u, v, x, y, z) | (T[u, v, T[x, y, z]] >= 0)),
+        ("right", lambda u, v, x, y, z: ~declared(u, v, x, y, z) | (T[T[u, v, x], y, z] >= 0)),
+        ("associative", lambda u, v, x, y, z: ~declared(u, v, x, y, z)
+         | (T[u, v, T[x, y, z]] == T[T[u, v, x], y, z])),
+    ])
+    if hit is None:
+        return None
+    law, (u, v, x, y, z) = hit
+    if law == "left":
+        raise DomainError(f"triple {(u, v, m(x, y, z))} outside declared domain")
+    if law == "right":
+        raise DomainError(f"triple {(m(u, v, x), y, z)} outside declared domain")
+    return (u, v, x, y, z)
 
 
 def check_associative(m: TernaryTable) -> bool:
     """m(u,v,m(x,y,z)) = m(m(u,v,x),y,z) wherever both composites are declared."""
-    for u, v, x, y, z in _assoc_quantifier(m):
-        if m(u, v, m(x, y, z)) != m(m(u, v, x), y, z):
-            return False
-    return True
-
-
-def associativity_witness(m: TernaryTable):
-    for u, v, x, y, z in _assoc_quantifier(m):
-        if m(u, v, m(x, y, z)) != m(m(u, v, x), y, z):
-            return (u, v, x, y, z)
-    return None
+    return _associativity_failure(m) is None
 
 
 def check_commutative(m: TernaryTable) -> bool:
     """m(x,y,z) = m(z,y,x) wherever both triples are declared."""
-    return all(
-        m(x, y, z) == m(z, y, x)
-        for (x, y, z) in m.domain()
-        if m.defined((z, y, x))
-    )
-
-
-def asmal_holds(m: TernaryTable) -> bool:
-    """The derived identity m(u,v,m(x,y,z)) = m(u,m(y,x,v),z) of associative
-    Maltsev operations, checked as a consequence rather than assumed."""
-    for u, v, x, y, z in _assoc_quantifier(m):
-        if not (m.defined((y, x, v)) and m.defined((u, m(y, x, v), z))):
-            continue
-        if m(u, v, m(x, y, z)) != m(u, m(y, x, v), z):
-            return False
-    return True
+    T = m._table
+    return first_violation((m.size,) * 3, [
+        ("commutative", lambda x, y, z: (T[x, y, z] < 0) | (T[z, y, x] < 0)
+         | (T[x, y, z] == T[z, y, x])),
+    ]) is None
 
 
 def is_maltsev_table(table, size: int) -> bool:
@@ -266,17 +236,68 @@ class TorsorGroup:
         }
 
 
-def _group_axioms_hold(size, add, neg, zero) -> bool:
-    for a in range(size):
-        if add[zero][a] != a or add[a][zero] != a:
-            return False
-        if add[a][neg[a]] != zero or add[neg[a]][a] != zero:
-            return False
-    return all(
-        add[add[a][b]][c] == add[a][add[b][c]]
-        for a in range(size)
-        for b in range(size)
-        for c in range(size)
+def _coequaliser_group(m: TernaryTable, base) -> TorsorGroup:
+    """Coequalise the pairs (x, y) with base[x] = base[y] under
+    (x, y) ~ (m(x, y, z), z), z arbitrary, and read off the acting group.
+
+    Sum of classes is (x-y)+(z-t) = m(x,y,z)-t, the inverse of x-y is y-x,
+    and the class of (x,y) acts by z -> m(x,y,z).  The caller has checked
+    that m is Maltsev and associative and that m(x,y,z) lies over z; every
+    group and action identity is re-verified exhaustively before the group
+    is returned.
+    """
+    n = m.size
+    T = m._table
+    pairs = [(x, y) for x in range(n) for y in range(n) if base[x] == base[y]]
+    uf = _UnionFind(n * n)
+    for x, y in pairs:
+        for z in range(n):
+            uf.union(x * n + y, m(x, y, z) * n + z)
+    labels = uf.labels()
+    classes: dict[int, int] = {}
+    reps = []
+    sub = np.full((n, n), -1)
+    for x, y in pairs:
+        root = labels[x * n + y]
+        if root not in classes:
+            classes[root] = len(reps)
+            reps.append((x, y))
+        sub[x, y] = classes[root]
+    reps = np.array(reps).reshape(-1, 2)
+    g = len(reps)
+    zero = int(sub[0, 0]) if n else 0
+    action = T[reps[:, 0], reps[:, 1], :]
+    add = sub[action[:, reps[:, 0]], reps[:, 1]]
+    neg = sub[reps[:, 1], reps[:, 0]]
+    fibre = lambda x, y: sub[x, y] >= 0
+    for sizes, laws in (
+        ((n,), [("classes of diagonal pairs disagree", lambda x: sub[x, x] == zero)]),
+        ((n,) * 4, [(
+            "addition not well defined on classes",
+            lambda x, y, z, t: ~(fibre(x, y) & fibre(z, t))
+            | (sub[T[x, y, z], t] == add[sub[x, y], sub[z, t]]),
+        )]),
+        ((g,) * 3, [
+            ("group unit fails", lambda a: (add[zero, a] == a) & (add[a, zero] == a)),
+            ("group inverse fails", lambda a: (add[a, neg[a]] == zero) & (add[neg[a], a] == zero)),
+            ("group associativity fails",
+             lambda a, b, c: add[add[a, b], c] == add[a, add[b, c]]),
+        ]),
+        ((g, n), [("(g+x)-x = g fails", lambda i, z: sub[action[i, z], z] == i)]),
+        ((n, n), [("(x-y)+y = x fails",
+                   lambda x, y: ~fibre(x, y) | (action[sub[x, y], y] == x))]),
+    ):
+        hit = first_violation(sizes, laws)
+        if hit is not None:
+            raise InternalError(f"coequaliser: {hit[0]} at {hit[1]}")
+    return TorsorGroup(
+        g,
+        tuple(map(tuple, add.tolist())),
+        tuple(neg.tolist()),
+        zero,
+        tuple(map(tuple, action.tolist())),
+        tuple(map(tuple, sub.tolist())),
+        bool((add == add.T).all()),
     )
 
 
@@ -288,7 +309,7 @@ def torsor_to_group(m: TernaryTable, require_commutative: bool = False) -> Torso
     re-verified exhaustively before the group is returned.
     """
     n = m.size
-    if n == 0:
+    if n <= 0:
         raise EmptyTorsor("torsor carrier must be non-empty")
     if m.kind != FULL:
         raise NotAHerd("torsor_to_group expects a full-domain table")
@@ -299,63 +320,10 @@ def torsor_to_group(m: TernaryTable, require_commutative: bool = False) -> Torso
     commutative = check_commutative(m)
     if require_commutative and not commutative:
         raise NotAHerd("table is not commutative")
-
-    uf = _UnionFind(n * n)
-    for x, y, z in itertools.product(range(n), repeat=3):
-        uf.union(x * n + y, m(x, y, z) * n + z)
-    labels = uf.labels()
-    classes: dict[int, int] = {}
-    reps: list[tuple[int, int]] = []
-    sub = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            root = labels[x * n + y]
-            if root not in classes:
-                classes[root] = len(reps)
-                reps.append((x, y))
-            sub[x][y] = classes[root]
-    g = len(reps)
-    zero = sub[0][0]
-    if any(sub[x][x] != zero for x in range(n)):
-        raise InternalError("classes of diagonal pairs disagree")
-
-    add = [[0] * g for _ in range(g)]
-    neg = [0] * g
-    action = [[0] * n for _ in range(g)]
-    for i, (x, y) in enumerate(reps):
-        neg[i] = sub[y][x]
-        for z in range(n):
-            action[i][z] = m(x, y, z)
-        for j, (z, t) in enumerate(reps):
-            add[i][j] = sub[m(x, y, z)][t]
-
-    # well-definedness across representative choices
-    for x, y, z, t in itertools.product(range(n), repeat=4):
-        if sub[m(x, y, z)][t] != add[sub[x][y]][sub[z][t]]:
-            raise InternalError("addition not well defined on classes")
-    if not _group_axioms_hold(g, add, neg, zero):
-        raise InternalError("group axioms fail on the coequaliser")
-    for i in range(g):
-        for z in range(n):
-            if sub[action[i][z]][z] != i:
-                raise InternalError("(g+x)-x = g fails")
-    for x in range(n):
-        for y in range(n):
-            if action[sub[x][y]][y] != x:
-                raise InternalError("(x-y)+y = x fails")
-    abelian = all(add[a][b] == add[b][a] for a in range(g) for b in range(g))
-    if require_commutative and commutative and not abelian:
+    group = _coequaliser_group(m, (0,) * n)
+    if require_commutative and commutative and not group.abelian:
         raise InternalError("commutative table produced a non-abelian group")
-
-    return TorsorGroup(
-        g,
-        tuple(tuple(r) for r in add),
-        tuple(neg),
-        zero,
-        tuple(tuple(r) for r in action),
-        tuple(tuple(r) for r in sub),
-        abelian,
-    )
+    return group
 
 
 def reconstruct_table(group: TorsorGroup) -> TernaryTable:
@@ -454,15 +422,15 @@ def central_torsor_check(
 
     if not check_maltsev(m_ext):
         return CentralTorsorReport(False, "maltsev identity fails", None, None)
-    for x, y, z in m_ext.domain():
-        if p[m_ext(x, y, z)] != p[z]:
-            return CentralTorsorReport(
-                False, "value leaves the fibre of z", None, (x, y, z)
-            )
-    if not check_associative(m_ext):
-        return CentralTorsorReport(
-            False, "associativity fails", None, associativity_witness(m_ext)
-        )
+    P, T = np.asarray(p), m_ext._table
+    hit = first_violation((n,) * 3, [
+        ("fibre", lambda x, y, z: (T[x, y, z] < 0) | (P[T[x, y, z]] == P[z])),
+    ])
+    if hit is not None:
+        return CentralTorsorReport(False, "value leaves the fibre of z", None, hit[1])
+    witness = _associativity_failure(m_ext)
+    if witness is not None:
+        return CentralTorsorReport(False, "associativity fails", None, witness)
     # homomorphism condition: the mixed domain is a subalgebra of E^3
     dom = list(m_ext.domain())
     for op in alg.ops:
@@ -479,63 +447,5 @@ def central_torsor_check(
                 )
 
     # constant group: quotient of E x_B E by (x,y) ~ (m(x,y,z), z), z arbitrary
-    fiber_pairs = [(x, y) for x in range(n) for y in range(n) if p[x] == p[y]]
-    pair_slot = {pr: i for i, pr in enumerate(fiber_pairs)}
-    uf = _UnionFind(len(fiber_pairs))
-    for x, y in fiber_pairs:
-        for z in range(n):
-            uf.union(pair_slot[(x, y)], pair_slot[(m_ext(x, y, z), z)])
-    labels = uf.labels()
-    classes: dict[int, int] = {}
-    reps: list[tuple[int, int]] = []
-    sub: dict[tuple[int, int], int] = {}
-    for pr in fiber_pairs:
-        root = labels[pair_slot[pr]]
-        if root not in classes:
-            classes[root] = len(reps)
-            reps.append(pr)
-        sub[pr] = classes[root]
-    g = len(reps)
-    zero = sub[(0, 0)] if n else 0
-    add = [[0] * g for _ in range(g)]
-    neg = [0] * g
-    action = [[0] * n for _ in range(g)]
-    for i, (x, y) in enumerate(reps):
-        neg[i] = sub[(y, x)]
-        for z in range(n):
-            action[i][z] = m_ext(x, y, z)
-        for j, (z, t) in enumerate(reps):
-            add[i][j] = sub[(m_ext(x, y, z), t)]
-    for x, y in fiber_pairs:
-        for j, (z, t) in enumerate(reps):
-            if sub[(m_ext(x, y, z), t)] != add[sub[(x, y)]][j]:
-                raise InternalError("constant-group addition not well defined")
-    if not _group_axioms_hold(g, add, neg, zero):
-        raise InternalError("constant-group axioms fail")
-    for i in range(g):
-        for z in range(n):
-            if p[action[i][z]] != p[z] or sub[(action[i][z], z)] != i:
-                raise InternalError("constant-group action identities fail")
-    for x, y in fiber_pairs:
-        if action[sub[(x, y)]][y] != x:
-            raise InternalError("(x-y)+y = x fails for the constant group")
-    group = TorsorGroup(
-        g,
-        tuple(tuple(r) for r in add),
-        tuple(neg),
-        zero,
-        tuple(tuple(r) for r in action),
-        tuple(tuple(sub[(x, y)] if p[x] == p[y] else -1 for y in range(n)) for x in range(n)),
-        all(add[a][c] == add[c][a] for a in range(g) for c in range(g)),
-    )
+    group = _coequaliser_group(m_ext, p)
     return CentralTorsorReport(True, "torsor under a constant group", group, None)
-
-
-def restrict_to_fibered(m_ext: TernaryTable) -> TernaryTable:
-    """Restriction of a mixed-domain table to the fully fibred domain."""
-    mapping = {
-        (x, y, z): m_ext(x, y, z)
-        for (x, y, z) in m_ext.domain()
-        if m_ext.base[y] == m_ext.base[z]
-    }
-    return TernaryTable.from_entries(m_ext.size, FIBERED, m_ext.base, mapping)

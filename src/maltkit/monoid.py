@@ -15,12 +15,24 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .abgroup import AbelianGroup, isomorphisms
 from .errors import (
     CounterexampleBroken,
     InternalError,
     InvariantViolation,
     SearchBudgetExceeded,
+)
+from .laws import first_violation, require, require_range
+from .maltsev import (
+    FIBERED,
+    MIXED,
+    TernaryTable,
+    _associativity_failure,
+    check_associative,
+    check_commutative,
+    check_maltsev,
 )
 
 UNTWISTED_FIBER_CAP = 8
@@ -37,18 +49,14 @@ class FiniteMonoid:
         n = self.size
         if len(self.mul) != n * n:
             raise InvariantViolation("monoid-table-length", len(self.mul))
-        for v in self.mul:
-            if not 0 <= v < n:
-                raise InvariantViolation("monoid-entry", v)
+        require_range("monoid-entry", self.mul, n)
         if not 0 <= self.unit < n:
             raise InvariantViolation("monoid-unit-range", self.unit)
-        for a in range(n):
-            if self.mulv(self.unit, a) != a or self.mulv(a, self.unit) != a:
-                raise InvariantViolation("monoid-unit", a)
-            for b in range(n):
-                for c in range(n):
-                    if self.mulv(self.mulv(a, b), c) != self.mulv(a, self.mulv(b, c)):
-                        raise InvariantViolation("monoid-associative", (a, b, c))
+        mul, e = np.reshape(self.mul, (n, n)), self.unit
+        require((n, n, n), [
+            ("monoid-unit", lambda a: (mul[e, a] == a) & (mul[a, e] == a)),
+            ("monoid-associative", lambda a, b, c: mul[mul[a, b], c] == mul[a, mul[b, c]]),
+        ])
 
     def mulv(self, a: int, b: int) -> int:
         return self.mul[a * self.size + b]
@@ -95,20 +103,20 @@ class NaturalSystemOnMonoid:
                     if not 0 <= v < tgt.size:
                         raise InvariantViolation("natsys-right-range", (x, b, v))
         # additivity
+        left = [[np.asarray(m) for m in row] for row in self.left]
+        right = [[np.asarray(m) for m in row] for row in self.right]
+        add = [np.reshape(g.add, (g.size, g.size)) for g in self.groups]
         for b in range(n):
             for x in range(n):
-                g, h = self.groups[x], self.groups[mon.mulv(b, x)]
-                lmap = self.left[b][x]
-                for d1 in range(g.size):
-                    for d2 in range(g.size):
-                        if lmap[g.plus(d1, d2)] != h.plus(lmap[d1], lmap[d2]):
-                            raise InvariantViolation("natsys-left-additive", (b, x, d1, d2))
-                h2 = self.groups[mon.mulv(x, b)]
-                rmap = self.right[x][b]
-                for d1 in range(g.size):
-                    for d2 in range(g.size):
-                        if rmap[g.plus(d1, d2)] != h2.plus(rmap[d1], rmap[d2]):
-                            raise InvariantViolation("natsys-right-additive", (x, b, d1, d2))
+                for law, amap, y, witness in (
+                    ("natsys-left-additive", left[b][x], mon.mulv(b, x), (b, x)),
+                    ("natsys-right-additive", right[x][b], mon.mulv(x, b), (x, b)),
+                ):
+                    hit = first_violation((self.groups[x].size,) * 2, [
+                        (law, lambda d1, d2: amap[add[x][d1, d2]] == add[y][amap[d1], amap[d2]]),
+                    ])
+                    if hit is not None:
+                        raise InvariantViolation(law, witness + hit[1])
         # unitality and the three compatibility equations
         e = mon.unit
         for x in range(n):
@@ -116,29 +124,27 @@ class NaturalSystemOnMonoid:
                 raise InvariantViolation("natsys-left-unital", x)
             if self.right[x][e] != tuple(range(self.groups[x].size)):
                 raise InvariantViolation("natsys-right-unital", x)
-        for b1 in range(n):
-            for b2 in range(n):
-                for x in range(n):
-                    g = self.groups[x]
-                    for d in range(g.size):
-                        # (b1 b2) d = b1 (b2 d)
-                        if (
-                            self.left[mon.mulv(b1, b2)][x][d]
-                            != self.left[b1][mon.mulv(b2, x)][self.left[b2][x][d]]
-                        ):
-                            raise InvariantViolation("natsys-left-compose", (b1, b2, x, d))
-                        # (d b1) b2 = d (b1 b2)
-                        if (
-                            self.right[mon.mulv(x, b1)][b2][self.right[x][b1][d]]
-                            != self.right[x][mon.mulv(b1, b2)][d]
-                        ):
-                            raise InvariantViolation("natsys-right-compose", (x, b1, b2, d))
-                        # (b1 d) b2 = b1 (d b2)
-                        if (
-                            self.right[mon.mulv(b1, x)][b2][self.left[b1][x][d]]
-                            != self.left[b1][mon.mulv(x, b2)][self.right[x][b2][d]]
-                        ):
-                            raise InvariantViolation("natsys-mixed-compose", (b1, x, b2, d))
+        mul = mon.mulv
+        for b1, b2, x in itertools.product(range(n), repeat=3):
+            hit = first_violation((self.groups[x].size,), [
+                # (b1 b2) d = b1 (b2 d)
+                ("natsys-left-compose",
+                 lambda d: left[mul(b1, b2)][x][d] == left[b1][mul(b2, x)][left[b2][x][d]]),
+                # (d b1) b2 = d (b1 b2)
+                ("natsys-right-compose",
+                 lambda d: right[mul(x, b1)][b2][right[x][b1][d]] == right[x][mul(b1, b2)][d]),
+                # (b1 d) b2 = b1 (d b2)
+                ("natsys-mixed-compose",
+                 lambda d: right[mul(b1, x)][b2][left[b1][x][d]]
+                 == left[b1][mul(x, b2)][right[x][b2][d]]),
+            ])
+            if hit is not None:
+                law, (d,) = hit
+                raise InvariantViolation(law, {
+                    "natsys-left-compose": (b1, b2, x, d),
+                    "natsys-right-compose": (x, b1, b2, d),
+                    "natsys-mixed-compose": (b1, x, b2, d),
+                }[law])
 
     def to_json(self):
         return {
@@ -190,36 +196,36 @@ class MonoidExtension:
             raise InvariantViolation("extension-proj-surjective", None)
         if self.proj[self.total.unit] != self.base.unit:
             raise InvariantViolation("extension-proj-unit", None)
-        for a in range(self.total.size):
-            for b in range(self.total.size):
-                if (
-                    self.proj[self.total.mulv(a, b)]
-                    != self.base.mulv(self.proj[a], self.proj[b])
-                ):
-                    raise InvariantViolation("extension-proj-hom", (a, b))
-        for b in range(self.base.size):
-            fib = self.fiber(b)
+        N, B = self.total.size, self.base.size
+        proj = np.asarray(self.proj)
+        tmul, bmul = np.reshape(self.total.mul, (N, N)), np.reshape(self.base.mul, (B, B))
+        require((N, N), [
+            ("extension-proj-hom", lambda a, b: proj[tmul[a, b]] == bmul[proj[a], proj[b]]),
+        ])
+        for b in range(B):
+            fib = np.flatnonzero(proj == b)
             g = self.system.groups[b]
-            table = self.actions[b]
-            if len(table) != g.size * len(fib):
+            if len(self.actions[b]) != g.size * fib.size:
                 raise InvariantViolation("extension-action-length", b)
-            pos = {e: i for i, e in enumerate(fib)}
-            for d in range(g.size):
-                for i, e in enumerate(fib):
-                    v = table[d * len(fib) + i]
-                    if self.proj[v] != b:
-                        raise InvariantViolation("extension-action-fiber", (b, d, e))
-            for i, e in enumerate(fib):
-                if table[g.zero * len(fib) + i] != e:
-                    raise InvariantViolation("extension-action-zero", (b, e))
-                for d1 in range(g.size):
-                    for d2 in range(g.size):
-                        step = table[d2 * len(fib) + i]
-                        if (
-                            table[g.plus(d1, d2) * len(fib) + i]
-                            != table[d1 * len(fib) + pos[step]]
-                        ):
-                            raise InvariantViolation("extension-action-sum", (b, d1, d2, e))
+            require_range("extension-action-entry", self.actions[b], N)
+            table = np.reshape(self.actions[b], (g.size, fib.size))
+            gadd = np.reshape(g.add, (g.size, g.size))
+            pos = np.full(N, -1)
+            pos[fib] = np.arange(fib.size)
+            hit = first_violation((g.size, fib.size), [
+                ("extension-action-fiber", lambda d, i: proj[table[d, i]] == b),
+            ])
+            if hit is not None:
+                law, (d, i) = hit
+                raise InvariantViolation(law, (b, d, int(fib[i])))
+            hit = first_violation((fib.size, g.size, g.size), [
+                ("extension-action-zero", lambda i: table[g.zero, i] == fib[i]),
+                ("extension-action-sum",
+                 lambda i, d1, d2: table[gadd[d1, d2], i] == table[d1, pos[table[d2, i]]]),
+            ])
+            if hit is not None:
+                law, (i, *ds) = hit
+                raise InvariantViolation(law, (b, *ds, int(fib[i])))
 
     def fiber(self, b: int) -> tuple[int, ...]:
         return tuple(e for e in range(self.total.size) if self.proj[e] == b)
@@ -427,40 +433,24 @@ def check_untwisted(ext: MonoidExtension) -> UntwistedReport:
                     fam[(f1, f2, f)] = ext.act(bp, psi[bp][d0], f)
         return fam
 
+    P = np.asarray(proj)
+    tmul = np.reshape(total.mul, (total.size, total.size))
+
     def verify(fam):
-        for (f1, f2, f), v in fam.items():
-            if proj[v] != proj[f]:
-                return False
-        for f in range(total.size):
-            for g in range(total.size):
-                if proj[f] == proj[g] and fam[(f, g, g)] != f:
-                    return False
-                if fam[(g, g, f)] != f:
-                    return False
-        for (f1, f2, f), v in fam.items():
-            # commutativity where defined
-            if proj[f] == proj[f1] and fam[(f, f2, f1)] != v:
-                return False
-        for f1 in range(total.size):
-            for f2 in range(total.size):
-                if proj[f1] != proj[f2]:
-                    continue
-                for x in range(total.size):
-                    for y in range(total.size):
-                        if proj[x] != proj[y]:
-                            continue
-                        for z in range(total.size):
-                            if fam[(f1, f2, fam[(x, y, z)])] != fam[
-                                (fam[(f1, f2, x)], y, z)
-                            ]:
-                                return False
-        for g in range(total.size):
-            for (f1, f2, f), v in fam.items():
-                if fam[(total.mulv(g, f1), total.mulv(g, f2), total.mulv(g, f))] != total.mulv(g, v):
-                    return False
-                if fam[(total.mulv(f1, g), total.mulv(f2, g), total.mulv(f, g))] != total.mulv(v, g):
-                    return False
-        return True
+        m = TernaryTable.from_entries(total.size, MIXED, proj, fam)
+        T = m._table
+        over = lambda x, y, z: (T[x, y, z] < 0) | (P[T[x, y, z]] == P[z])
+        equivariant = lambda g, x, y, z: (T[x, y, z] < 0) | (
+            (T[tmul[g, x], tmul[g, y], tmul[g, z]] == tmul[g, T[x, y, z]])
+            & (T[tmul[x, g], tmul[y, g], tmul[z, g]] == tmul[T[x, y, z], g])
+        )
+        return (
+            first_violation((total.size,) * 3, [("over", over)]) is None
+            and check_maltsev(m)
+            and check_commutative(m)
+            and check_associative(m)
+            and first_violation((total.size,) * 4, [("equivariant", equivariant)]) is None
+        )
 
     for psi in itertools.product(*iso_choices):
         fam = build_family(psi)
@@ -698,21 +688,7 @@ def counterexample_harness() -> CounterexampleReport:
     assoc_count = 0
     violations = []
     for i, cand in enumerate(candidates):
-        witness = None
-        for u in range(4):
-            if witness:
-                break
-            for v in range(4):
-                if eta[u] != eta[v]:
-                    continue
-                if witness:
-                    break
-                for (x, y, z) in domain:
-                    if eta[x] != eta[u]:
-                        continue
-                    if cand[(u, v, cand[(x, y, z)])] != cand[(cand[(u, v, x)], y, z)]:
-                        witness = (u, v, x, y, z)
-                        break
+        witness = _associativity_failure(TernaryTable.from_entries(4, FIBERED, eta, cand))
         if witness is None:
             assoc_count += 1
         else:

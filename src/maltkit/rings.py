@@ -3,17 +3,21 @@
 A linear form d: M -> R (an R-module map into the ring with its left
 regular action) is the classifying datum of an abelian Maltsev theory
 without constants; a form-bimodule (B, K, delta, dot) is the coefficient
-datum of its abelian extensions.  All laws are verified exhaustively at
-construction time.
+datum of its abelian extensions.  Every constructor range-checks its
+tables and then verifies all its laws exhaustively with the kernel of
+`laws`, which reports the first violation in the order of the nested
+loops over the quantified variables.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
-from .abgroup import AbelianGroup, group_from_presentation
+import numpy as np
+
+from .abgroup import AbelianGroup, extend_additive, group_from_presentation
 from .errors import InvariantViolation
+from .laws import first_violation, require, require_range
 
 
 @dataclass(frozen=True)
@@ -33,21 +37,16 @@ class FiniteRing:
         object.__setattr__(self, "_grp", grp)
         if len(self.mul) != n * n:
             raise InvariantViolation("ring-mul-length", len(self.mul))
-        for a in range(n):
-            if self.mulv(self.one, a) != a or self.mulv(a, self.one) != a:
-                raise InvariantViolation("ring-unit", a)
-            for b in range(n):
-                for c in range(n):
-                    if self.mulv(self.mulv(a, b), c) != self.mulv(a, self.mulv(b, c)):
-                        raise InvariantViolation("ring-mul-associative", (a, b, c))
-                    if self.mulv(a, self.plus(b, c)) != self.plus(
-                        self.mulv(a, b), self.mulv(a, c)
-                    ):
-                        raise InvariantViolation("ring-left-distributive", (a, b, c))
-                    if self.mulv(self.plus(a, b), c) != self.plus(
-                        self.mulv(a, c), self.mulv(b, c)
-                    ):
-                        raise InvariantViolation("ring-right-distributive", (a, b, c))
+        require_range("ring-mul-entry", self.mul, n)
+        add, mul, one = np.reshape(self.add, (n, n)), np.reshape(self.mul, (n, n)), self.one
+        require((n, n, n), [
+            ("ring-unit", lambda a: (mul[one, a] == a) & (mul[a, one] == a)),
+            ("ring-mul-associative", lambda a, b, c: mul[mul[a, b], c] == mul[a, mul[b, c]]),
+            ("ring-left-distributive",
+             lambda a, b, c: mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]),
+            ("ring-right-distributive",
+             lambda a, b, c: mul[add[a, b], c] == add[mul[a, c], mul[b, c]]),
+        ])
 
     @classmethod
     def from_tables(cls, add, mul, name: str = "") -> "FiniteRing":
@@ -122,28 +121,22 @@ class LeftModule:
         n = self.size
         grp = AbelianGroup(n, self.add)
         object.__setattr__(self, "_grp", grp)
-        if len(self.act) != self.ring.size * n:
-            raise InvariantViolation("module-act-length", len(self.act))
         R = self.ring
-        for r in range(R.size):
-            for x in range(n):
-                for y in range(n):
-                    if self.smul(r, grp.plus(x, y)) != grp.plus(
-                        self.smul(r, x), self.smul(r, y)
-                    ):
-                        raise InvariantViolation("module-distributive-right", (r, x, y))
-        for r in range(R.size):
-            for s in range(R.size):
-                for x in range(n):
-                    if self.smul(R.plus(r, s), x) != grp.plus(
-                        self.smul(r, x), self.smul(s, x)
-                    ):
-                        raise InvariantViolation("module-distributive-left", (r, s, x))
-                    if self.smul(R.mulv(r, s), x) != self.smul(r, self.smul(s, x)):
-                        raise InvariantViolation("module-mul-compatible", (r, s, x))
-        for x in range(n):
-            if self.smul(R.one, x) != x:
-                raise InvariantViolation("module-unit", x)
+        if len(self.act) != R.size * n:
+            raise InvariantViolation("module-act-length", len(self.act))
+        require_range("module-act-entry", self.act, n)
+        add, act = np.reshape(self.add, (n, n)), np.reshape(self.act, (R.size, n))
+        radd, rmul = np.reshape(R.add, (R.size, R.size)), np.reshape(R.mul, (R.size, R.size))
+        require((R.size, n, n), [
+            ("module-distributive-right",
+             lambda r, x, y: act[r, add[x, y]] == add[act[r, x], act[r, y]]),
+        ])
+        require((R.size, R.size, n), [
+            ("module-distributive-left",
+             lambda r, s, x: act[radd[r, s], x] == add[act[r, x], act[s, x]]),
+            ("module-mul-compatible", lambda r, s, x: act[rmul[r, s], x] == act[r, act[s, x]]),
+        ])
+        require((n,), [("module-unit", lambda x: act[R.one, x] == x)])
 
     def plus(self, a, b):
         return self.add[a * self.size + b]
@@ -217,14 +210,14 @@ class LinearForm:
         M, R = self.module, self.module.ring
         if len(self.d) != M.size:
             raise InvariantViolation("form-length", len(self.d))
-        for x in range(M.size):
-            for y in range(M.size):
-                if self.d[M.plus(x, y)] != R.plus(self.d[x], self.d[y]):
-                    raise InvariantViolation("form-additive", (x, y))
-        for r in range(R.size):
-            for x in range(M.size):
-                if self.d[M.smul(r, x)] != R.mulv(r, self.d[x]):
-                    raise InvariantViolation("form-linear", (r, x))
+        require_range("form-entry", self.d, R.size)
+        d = np.asarray(self.d)
+        madd, act = np.reshape(M.add, (M.size, M.size)), np.reshape(M.act, (R.size, M.size))
+        radd, rmul = np.reshape(R.add, (R.size, R.size)), np.reshape(R.mul, (R.size, R.size))
+        require((M.size, M.size), [
+            ("form-additive", lambda x, y: d[madd[x, y]] == radd[d[x], d[y]]),
+        ])
+        require((R.size, M.size), [("form-linear", lambda r, x: d[act[r, x]] == rmul[r, d[x]])])
 
     @property
     def ring(self) -> FiniteRing:
@@ -329,61 +322,61 @@ class DBimodule:
             raise InvariantViolation("bimodule-action-length", None)
         if len(self.delta) != K.size or len(self.dot) != B.size * M.size:
             raise InvariantViolation("bimodule-map-length", None)
-        lact = lambda r, b: self.bleft[r * B.size + b]
-        ract = lambda b, r: self.bright[b * R.size + r]
-        for r in range(R.size):
-            for b1 in range(B.size):
-                for b2 in range(B.size):
-                    if lact(r, B.plus(b1, b2)) != B.plus(lact(r, b1), lact(r, b2)):
-                        raise InvariantViolation("bimodule-left-additive", (r, b1, b2))
-                    if ract(B.plus(b1, b2), r) != B.plus(ract(b1, r), ract(b2, r)):
-                        raise InvariantViolation("bimodule-right-additive", (r, b1, b2))
-        for r in range(R.size):
-            for s in range(R.size):
-                for b in range(B.size):
-                    if lact(R.plus(r, s), b) != B.plus(lact(r, b), lact(s, b)):
-                        raise InvariantViolation("bimodule-left-distributive", (r, s, b))
-                    if ract(b, R.plus(r, s)) != B.plus(ract(b, r), ract(b, s)):
-                        raise InvariantViolation("bimodule-right-distributive", (r, s, b))
-                    if lact(R.mulv(r, s), b) != lact(r, lact(s, b)):
-                        raise InvariantViolation("bimodule-left-action", (r, s, b))
-                    if ract(b, R.mulv(r, s)) != ract(ract(b, r), s):
-                        raise InvariantViolation("bimodule-right-action", (r, s, b))
-                    if ract(lact(r, b), s) != lact(r, ract(b, s)):
-                        raise InvariantViolation("bimodule-actions-commute", (r, s, b))
-        for b in range(B.size):
-            if lact(R.one, b) != b or ract(b, R.one) != b:
-                raise InvariantViolation("bimodule-unital", b)
-        for k1 in range(K.size):
-            for k2 in range(K.size):
-                if self.delta[K.plus(k1, k2)] != B.plus(self.delta[k1], self.delta[k2]):
-                    raise InvariantViolation("delta-additive", (k1, k2))
-        for r in range(R.size):
-            for k in range(K.size):
-                if self.delta[K.smul(r, k)] != lact(r, self.delta[k]):
-                    raise InvariantViolation("delta-linear", (r, k))
-        dotv = lambda b, m: self.dot[b * M.size + m]
-        for b in range(B.size):
-            for m1 in range(M.size):
-                for m2 in range(M.size):
-                    if dotv(b, M.plus(m1, m2)) != K.plus(dotv(b, m1), dotv(b, m2)):
-                        raise InvariantViolation("dot-additive-m", (b, m1, m2))
-        for b1 in range(B.size):
-            for b2 in range(B.size):
-                for m in range(M.size):
-                    if dotv(B.plus(b1, b2), m) != K.plus(dotv(b1, m), dotv(b2, m)):
-                        raise InvariantViolation("dot-additive-b", (b1, b2, m))
-        for b in range(B.size):
-            for r in range(R.size):
-                for m in range(M.size):
-                    if dotv(ract(b, r), m) != dotv(b, M.smul(r, m)):
-                        raise InvariantViolation("dot-balanced", (b, r, m))
-                    if dotv(lact(r, b), m) != K.smul(r, dotv(b, m)):
-                        raise InvariantViolation("dot-left-linear", (r, b, m))
-        for b in range(B.size):
-            for m in range(M.size):
-                if self.delta[dotv(b, m)] != ract(b, self.form.d[m]):
-                    raise InvariantViolation("delta-dot-compatible", (b, m))
+        require_range("bimodule-left-entry", self.bleft, B.size)
+        require_range("bimodule-right-entry", self.bright, B.size)
+        require_range("delta-entry", self.delta, B.size)
+        require_range("dot-entry", self.dot, K.size)
+        radd, rmul = np.reshape(R.add, (R.size, R.size)), np.reshape(R.mul, (R.size, R.size))
+        madd, mact = np.reshape(M.add, (M.size, M.size)), np.reshape(M.act, (R.size, M.size))
+        badd = np.reshape(B.add, (B.size, B.size))
+        kadd, kact = np.reshape(K.add, (K.size, K.size)), np.reshape(K.act, (R.size, K.size))
+        lact = np.reshape(self.bleft, (R.size, B.size))
+        ract = np.reshape(self.bright, (B.size, R.size))
+        delta, d = np.asarray(self.delta), np.asarray(self.form.d)
+        dot = np.reshape(self.dot, (B.size, M.size))
+        require((R.size, B.size, B.size), [
+            ("bimodule-left-additive",
+             lambda r, b1, b2: lact[r, badd[b1, b2]] == badd[lact[r, b1], lact[r, b2]]),
+            ("bimodule-right-additive",
+             lambda r, b1, b2: ract[badd[b1, b2], r] == badd[ract[b1, r], ract[b2, r]]),
+        ])
+        require((R.size, R.size, B.size), [
+            ("bimodule-left-distributive",
+             lambda r, s, b: lact[radd[r, s], b] == badd[lact[r, b], lact[s, b]]),
+            ("bimodule-right-distributive",
+             lambda r, s, b: ract[b, radd[r, s]] == badd[ract[b, r], ract[b, s]]),
+            ("bimodule-left-action", lambda r, s, b: lact[rmul[r, s], b] == lact[r, lact[s, b]]),
+            ("bimodule-right-action", lambda r, s, b: ract[b, rmul[r, s]] == ract[ract[b, r], s]),
+            ("bimodule-actions-commute",
+             lambda r, s, b: ract[lact[r, b], s] == lact[r, ract[b, s]]),
+        ])
+        require((B.size,), [
+            ("bimodule-unital", lambda b: (lact[R.one, b] == b) & (ract[b, R.one] == b)),
+        ])
+        require((K.size, K.size), [
+            ("delta-additive", lambda k1, k2: delta[kadd[k1, k2]] == badd[delta[k1], delta[k2]]),
+        ])
+        require((R.size, K.size), [
+            ("delta-linear", lambda r, k: delta[kact[r, k]] == lact[r, delta[k]]),
+        ])
+        require((B.size, M.size, M.size), [
+            ("dot-additive-m",
+             lambda b, m1, m2: dot[b, madd[m1, m2]] == kadd[dot[b, m1], dot[b, m2]]),
+        ])
+        require((B.size, B.size, M.size), [
+            ("dot-additive-b",
+             lambda b1, b2, m: dot[badd[b1, b2], m] == kadd[dot[b1, m], dot[b2, m]]),
+        ])
+        hit = first_violation((B.size, R.size, M.size), [
+            ("dot-balanced", lambda b, r, m: dot[ract[b, r], m] == dot[b, mact[r, m]]),
+            ("dot-left-linear", lambda b, r, m: dot[lact[r, b], m] == kact[r, dot[b, m]]),
+        ])
+        if hit is not None:
+            law, (b, r, m) = hit
+            raise InvariantViolation(law, (b, r, m) if law == "dot-balanced" else (r, b, m))
+        require((B.size, M.size), [
+            ("delta-dot-compatible", lambda b, m: delta[dot[b, m]] == ract[b, d[m]]),
+        ])
 
     def lact(self, r, b):
         return self.bleft[r * self.bgroup.size + b]
@@ -433,69 +426,34 @@ def cone_bimodule(
     """The bimodule with K = B (x)_R M, dot the canonical pairing and
     delta(b (x) m) = b * d(m)."""
     R, M = form.ring, form.module
+    require_range("bimodule-left-entry", bleft, bgroup.size)
+    require_range("bimodule-right-entry", bright, bgroup.size)
     tensor, pair = tensor_over_ring(R, bgroup, bright, M)
     pairv = lambda b, m: pair[b * M.size + m]
-    # left module structure on the tensor: r.(b (x) m) = (rb) (x) m
-    act = [None] * (R.size * tensor.size)
+    # left module structure on the tensor: r.(b (x) m) = (rb) (x) m, an
+    # additive map determined by its values on pure tensors
+    act = []
     for r in range(R.size):
-        # images of generators determine the additive map
-        table = [None] * tensor.size
-        table[tensor.zero] = tensor.zero
-        frontier = [tensor.zero]
-        pending = [(pairv(b, m), pairv(bleft[r * bgroup.size + b], m))
-                   for b in range(bgroup.size) for m in range(M.size)]
-        for src, dst in pending:
-            if table[src] is None:
-                table[src] = dst
-                frontier.append(src)
-            elif table[src] != dst:
-                raise InvariantViolation("tensor-action-ill-defined", (r, src))
-            while frontier:
-                y = frontier.pop()
-                for x in range(tensor.size):
-                    if table[x] is None:
-                        continue
-                    v = tensor.plus(x, y)
-                    w = tensor.plus(table[x], table[y])
-                    if table[v] is None:
-                        table[v] = w
-                        frontier.append(v)
-                    elif table[v] != w:
-                        raise InvariantViolation("tensor-action-ill-defined", (r, v))
-        if any(v is None for v in table):
+        table, conflict = extend_additive(tensor, tensor, [
+            (pairv(b, m), pairv(bleft[r * bgroup.size + b], m))
+            for b in range(bgroup.size) for m in range(M.size)
+        ])
+        if conflict is not None:
+            raise InvariantViolation("tensor-action-ill-defined", (r, conflict))
+        if None in table:
             raise InvariantViolation("tensor-not-generated", r)
-        for m_, val in enumerate(table):
-            act[r * tensor.size + m_] = val
+        act.extend(table)
     kmod = LeftModule(R, tensor.size, tensor.add, tuple(act), name=f"{name}-K")
-    delta = [None] * tensor.size
-    delta[tensor.zero] = bgroup.zero
-    # delta on generators, extended additively
-    dtable = {tensor.zero: bgroup.zero}
-    frontier = [tensor.zero]
-    for b in range(bgroup.size):
-        for m in range(M.size):
-            src = pairv(b, m)
-            dst = bright[b * R.size + form.d[m]]
-            if src in dtable:
-                if dtable[src] != dst:
-                    raise InvariantViolation("tensor-delta-ill-defined", (b, m))
-            else:
-                dtable[src] = dst
-                frontier.append(src)
-            while frontier:
-                y = frontier.pop()
-                for x in list(dtable):
-                    v = tensor.plus(x, y)
-                    w = bgroup.plus(dtable[x], dtable[y])
-                    if v in dtable:
-                        if dtable[v] != w:
-                            raise InvariantViolation("tensor-delta-ill-defined", v)
-                    else:
-                        dtable[v] = w
-                        frontier.append(v)
-    if len(dtable) != tensor.size:
-        raise InvariantViolation("tensor-delta-partial", len(dtable))
-    delta = tuple(dtable[t] for t in range(tensor.size))
+    # delta(b (x) m) = b d(m), extended additively
+    delta, conflict = extend_additive(tensor, bgroup, [
+        (pairv(b, m), bright[b * R.size + form.d[m]])
+        for b in range(bgroup.size) for m in range(M.size)
+    ])
+    if conflict is not None:
+        raise InvariantViolation("tensor-delta-ill-defined", conflict)
+    if None in delta:
+        raise InvariantViolation("tensor-delta-partial", tensor.size - delta.count(None))
+    delta = tuple(delta)
     return DBimodule(
         form, bgroup, bleft, bright, kmod, delta, pair, name or "C(B)"
     )

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -179,3 +180,31 @@ def test_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["candidates"] == 108
+
+
+@pytest.mark.parametrize("flags", [["--threads", "2"], ["--json"]])
+def test_removed_flags_are_usage_errors(flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["parse", str(DATA / "z4.alg"), *flags])
+    assert exc.value.code == 64
+
+
+def test_parse_sweep_of_bad_entries(capsys, tmp_path):
+    """Every integer of the form and monoid corpus files set to -1 and to 99:
+    `mk parse` answers each with one JSON document and exit code 0 or 1."""
+    bad = []
+    for name in ("forms.lf", "monoid.ext"):
+        text = (DATA / name).read_text()
+        for match in re.finditer(r"-?\d+", text):
+            for value in ("-1", "99"):
+                path = tmp_path / name
+                path.write_text(text[: match.start()] + value + text[match.end():])
+                try:
+                    code = main(["parse", str(path)])
+                    out = capsys.readouterr().out
+                    json.loads(out)
+                except Exception as exc:  # a crash is what the sweep looks for
+                    code, out = repr(exc), ""
+                if code not in (0, 1) or out.count("\n") != 1:
+                    bad.append((name, match.start(), value, code))
+    assert bad == []

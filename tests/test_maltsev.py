@@ -11,9 +11,9 @@ from maltkit.catalog import (
 )
 from maltkit.errors import CloneBudgetExceeded, DomainError, EmptyTorsor, NotAHerd
 from maltkit.maltsev import (
+    FIBERED,
     MIXED,
     TernaryTable,
-    asmal_holds,
     central_torsor_check,
     check_associative,
     check_commutative,
@@ -21,9 +21,31 @@ from maltkit.maltsev import (
     enumerate_herds,
     find_maltsev_term,
     reconstruct_table,
-    restrict_to_fibered,
     torsor_to_group,
 )
+
+
+def asmal_holds(m):
+    """The derived identity m(u,v,m(x,y,z)) = m(u,m(y,x,v),z) of associative
+    Maltsev operations, checked as a consequence rather than assumed."""
+    for u, v, x, y, z in itertools.product(range(m.size), repeat=5):
+        if not (m.defined((u, v, x)) and m.defined((x, y, z))):
+            continue
+        if not (m.defined((y, x, v)) and m.defined((u, m(y, x, v), z))):
+            continue
+        if m(u, v, m(x, y, z)) != m(u, m(y, x, v), z):
+            return False
+    return True
+
+
+def restrict_to_fibered(m_ext):
+    """Restriction of a mixed-domain table to the fully fibred domain."""
+    mapping = {
+        (x, y, z): m_ext(x, y, z)
+        for (x, y, z) in m_ext.domain()
+        if m_ext.base[y] == m_ext.base[z]
+    }
+    return TernaryTable.from_entries(m_ext.size, FIBERED, m_ext.base, mapping)
 
 
 def group_difference_table(n):
