@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -109,6 +110,32 @@ class FiniteAlgebra:
         if isinstance(op, str):
             op = self.op(op)
         return np.asarray(op.table, dtype=np.int64).reshape((self.size,) * op.arity)
+
+    @cached_property
+    def translations(self) -> np.ndarray:
+        """Every elementary translation as one row of a read-only (T, size) array.
+
+        A translation frees one argument of an operation and freezes the
+        others.  Rows run over the operations in declared order, then the
+        free position, then the frozen arguments in lexicographic order.
+        """
+        rows = [
+            np.moveaxis(self.op_array(op), pos, -1).reshape(-1, self.size)
+            for op in self.ops
+            for pos in range(op.arity)
+            if self.size
+        ]
+        if not rows:
+            rows = [np.zeros((0, self.size), dtype=np.int64)]
+        # column-major, so that the images of one element lie together
+        out = np.asfortranarray(np.concatenate(rows))
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def _pair_algebras(self) -> dict:
+        """Pair algebras of congruences by block index, kept by `commutator`."""
+        return {}
 
     def signature(self) -> tuple[tuple[str, int], ...]:
         return tuple((op.name, op.arity) for op in self.ops)

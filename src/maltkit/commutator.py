@@ -1,11 +1,15 @@
 """Commutator calculus for finite Maltsev algebras.
 
 Centrality of a pair of congruences is decided by restricting a Maltsev
-term to the mixed relation {(x,y,z) : x R y, y S z} and checking that the
-restriction is a homomorphism with x S m(x,y,z) R z.  The commutator [R,S]
-is computed by generating a congruence on the pair algebra R from the
-doubled S-pairs and reading off its same-first-coordinate part; an
-independent lattice-based oracle is provided for cross-checking.
+term to the mixed relation {(x,y,z) : x R y, y S z} and checking, with the
+chunked law kernel, that the restriction is a homomorphism with
+x S m(x,y,z) R z.  The commutator [R,S] is computed by generating a
+congruence on the pair algebra R from the doubled S-pairs and reading off
+its same-first-coordinate part.  The pair algebra is held as the
+translation array of the subalgebra R of A x A, built from the algebra's
+cached translation array once per algebra and R and kept on the algebra,
+so that `center` and the two series, which all use R = total, share it.
+An independent lattice-based oracle is provided for cross-checking.
 
 Every entry point requires an explicit Maltsev term; non-Maltsev algebras
 are rejected rather than silently falling back to a different commutator.
@@ -13,24 +17,26 @@ are rejected rather than silently falling back to a different commutator.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, Operation, TermOp, tuple_index
+from .algebra import FiniteAlgebra, TermOp
 from .congruence import (
     Congruence,
+    _from_roots,
+    _generate,
+    _merge,
     all_congruences,
-    cg,
     congruence_violation,
     join,
     meet,
+    principal_congruences,
     quotient,
     quotient_congruence,
 )
 from .errors import InternalError, NotMaltsev
-from .maltsev import TernaryTable, check_associative, is_maltsev_table
+from .maltsev import TernaryTable, check_associative, is_maltsev_table, restriction_violation
 
 
 def _require_maltsev(alg: FiniteAlgebra, p: TermOp):
@@ -40,58 +46,10 @@ def _require_maltsev(alg: FiniteAlgebra, p: TermOp):
         raise NotMaltsev("term fails the Maltsev identities")
 
 
-def _mixed_relation(alg, R, S):
-    """Triples (x,y,z) with x R y and y S z, in lexicographic order."""
-    return [
-        (x, y, z)
-        for x in range(alg.size)
-        for y in range(alg.size)
-        if R.same(x, y)
-        for z in range(alg.size)
-        if S.same(y, z)
-    ]
-
-
-def _restriction_is_hom(alg: FiniteAlgebra, dom, pvals, ptab) -> bool:
-    """Vectorised check that p restricted to `dom` commutes with all operations."""
-    d = len(dom)
-    if d == 0:
-        return True
-    cols = [np.fromiter((t[i] for t in dom), dtype=np.int64, count=d) for i in range(3)]
-    pv = np.asarray(pvals, dtype=np.int64)
-    for op in alg.ops:
-        a = op.arity
-        if a == 0:
-            continue
-        table = alg.op_array(op)
-        if a == 1:
-            fx, fy, fz = table[cols[0]], table[cols[1]], table[cols[2]]
-            if not np.array_equal(ptab[fx, fy, fz], table[pv]):
-                return False
-        elif a == 2:
-            i = np.repeat(np.arange(d), d)
-            j = np.tile(np.arange(d), d)
-            fx = table[cols[0][i], cols[0][j]]
-            fy = table[cols[1][i], cols[1][j]]
-            fz = table[cols[2][i], cols[2][j]]
-            if not np.array_equal(ptab[fx, fy, fz], table[pv[i], pv[j]]):
-                return False
-        else:
-            # chunk the leading arguments; high-arity ops only occur on
-            # small carriers so this stays affordable
-            i = np.repeat(np.arange(d), d)
-            j = np.tile(np.arange(d), d)
-            for lead in itertools.product(range(d), repeat=a - 2):
-                args_x = [np.full(d * d, cols[0][k]) for k in lead] + [cols[0][i], cols[0][j]]
-                args_y = [np.full(d * d, cols[1][k]) for k in lead] + [cols[1][i], cols[1][j]]
-                args_z = [np.full(d * d, cols[2][k]) for k in lead] + [cols[2][i], cols[2][j]]
-                fx = table[tuple(args_x)]
-                fy = table[tuple(args_y)]
-                fz = table[tuple(args_z)]
-                pargs = [np.full(d * d, pv[k]) for k in lead] + [pv[i], pv[j]]
-                if not np.array_equal(ptab[fx, fy, fz], table[tuple(pargs)]):
-                    return False
-    return True
+def _relation(cong: Congruence) -> np.ndarray:
+    """The congruence as an (n, n) boolean matrix."""
+    labels = np.asarray(cong.block_index)
+    return labels[:, None] == labels[None, :]
 
 
 def centralize(alg: FiniteAlgebra, R: Congruence, S: Congruence, p: TermOp,
@@ -105,18 +63,58 @@ def centralize(alg: FiniteAlgebra, R: Congruence, S: Congruence, p: TermOp,
     _require_maltsev(alg, p)
     for q in extra_terms:
         _require_maltsev(alg, q)
-    dom = _mixed_relation(alg, R, S)
     n = alg.size
-    pvals = [p.table[tuple_index(n, t)] for t in dom]
+    r, s = _relation(R), _relation(S)
+    # the mixed relation {(x,y,z) : x R y, y S z} in lexicographic order
+    X, Y, Z = np.nonzero(r[:, :, None] & s[None, :, :])
+    ptab = np.asarray(p.table).reshape((n,) * 3)
+    pv = ptab[X, Y, Z]
     for q in extra_terms:
-        qvals = [q.table[tuple_index(n, t)] for t in dom]
-        if qvals != pvals:
+        if not np.array_equal(np.asarray(q.table).reshape((n,) * 3)[X, Y, Z], pv):
             raise InternalError("Maltsev terms disagree on the mixed relation")
-    for (x, y, z), v in zip(dom, pvals):
-        if not (S.same(x, v) and R.same(v, z)):
-            return False
-    ptab = np.asarray(p.table, dtype=np.int64).reshape((alg.size,) * 3)
-    return _restriction_is_hom(alg, dom, pvals, ptab)
+    if not (s[X, pv] & r[pv, Z]).all():
+        return False
+    return restriction_violation(alg, (X, Y, Z), pv, ptab) is None
+
+
+@dataclass(frozen=True)
+class _PairAlgebra:
+    """The subalgebra R of A x A: its pairs in lexicographic order, the slot
+    of each pair, and its elementary translations."""
+
+    first: np.ndarray
+    second: np.ndarray
+    slot: np.ndarray
+    translations: np.ndarray
+
+
+def _pair_algebra(alg: FiniteAlgebra, R: Congruence) -> _PairAlgebra:
+    """Built once per algebra and R, and kept on the algebra.
+
+    A translation of the pair algebra runs a translation of A on each
+    coordinate, with the same operation and free position and with frozen
+    arguments that are pairwise R-related.
+    """
+    cache = alg._pair_algebras
+    if R.block_index not in cache:
+        n = alg.size
+        xs, ys = np.nonzero(_relation(R))
+        slot = np.full((n, n), -1)
+        slot[xs, ys] = np.arange(xs.size)
+        rows, start = [], 0
+        for op in alg.ops:
+            for _ in range(op.arity):
+                block = alg.translations[start:start + n ** (op.arity - 1)]
+                start += len(block)
+                # row indices of the frozen argument tuples on each coordinate
+                cx = cy = np.zeros(1, dtype=np.int64)
+                for _ in range(op.arity - 1):
+                    cx = (cx[:, None] * n + xs).ravel()
+                    cy = (cy[:, None] * n + ys).ravel()
+                rows.append(slot[block[cx][:, xs], block[cy][:, ys]])
+        trans = np.concatenate(rows) if rows else np.zeros((0, xs.size), dtype=np.int64)
+        cache[R.block_index] = _PairAlgebra(xs, ys, slot, np.asfortranarray(trans))
+    return cache[R.block_index]
 
 
 def commutator(alg: FiniteAlgebra, R: Congruence, S: Congruence, p: TermOp) -> Congruence:
@@ -124,82 +122,44 @@ def commutator(alg: FiniteAlgebra, R: Congruence, S: Congruence, p: TermOp) -> C
     intersected with the same-first-coordinate relation and pushed to M."""
     _require_maltsev(alg, p)
     n = alg.size
-    pairs = [(x, y) for x in range(n) for y in range(n) if R.same(x, y)]
-    slot = {pr: i for i, pr in enumerate(pairs)}
-    ops = []
-    for op in alg.ops:
-        table = []
-        for combo in itertools.product(pairs, repeat=op.arity):
-            vx = alg.apply(op, tuple(t[0] for t in combo))
-            vy = alg.apply(op, tuple(t[1] for t in combo))
-            table.append(slot[(vx, vy)])
-        ops.append(Operation(op.name, op.arity, tuple(table)))
-    pair_alg = FiniteAlgebra(len(pairs), tuple(ops))
-
-    gens = [
-        (slot[(y, y)], slot[(z, z)])
-        for y in range(n)
-        for z in range(n)
-        if S.same(y, z)
-    ]
-    delta = cg(pair_alg, gens)
-
-    raw = set()
-    by_class: dict[tuple[int, int], list[int]] = {}
-    for i, (x, y) in enumerate(pairs):
-        by_class.setdefault((x, delta.block_index[i]), []).append(y)
-    for (_, _), ys in by_class.items():
-        for y in ys:
-            for y2 in ys:
-                raw.add((y, y2))
-
-    labels = _closure_labels(n, raw)
-    out = Congruence.from_labels(labels)
+    pair = _pair_algebra(alg, R)
+    ys, zs = np.nonzero(_relation(S))
+    delta = _generate(pair.translations, pair.first.size,
+                      pair.slot[ys, ys], pair.slot[zs, zs])
+    # y raw y' iff (x, y) delta (x, y') for some x
+    _, group = np.unique(pair.first * pair.first.size + delta, return_inverse=True)
+    member = np.zeros((group.max(initial=-1) + 1, n), dtype=np.int64)
+    member[group, pair.second] = 1
+    raw = member.T @ member > 0
+    roots = np.arange(n)
+    _merge(roots, *np.nonzero(raw))
+    out = _from_roots(roots)
     # in the Maltsev case the raw relation is already an equivalence; any
     # discrepancy means a non-Maltsev input slipped through
-    for a in range(n):
-        for b in range(n):
-            if out.same(a, b) and (a, b) not in raw:
-                raise InternalError("commutator relation is not transitive-symmetric")
+    if (_relation(out) & ~raw).any():
+        raise InternalError("commutator relation is not transitive-symmetric")
     if congruence_violation(alg, out) is not None:
         raise InternalError("commutator relation is not a congruence")
     return out
 
 
-def _closure_labels(n, rel):
-    from .congruence import _UnionFind
-
-    uf = _UnionFind(n)
-    for a, b in rel:
-        uf.union(a, b)
-    return uf.labels()
-
-
-def _project_term(p: TermOp, proj, reps, qsize: int) -> TermOp:
-    """Image of a term operation under a surjective homomorphism."""
-    n = len(proj)
-    table = []
-    for args in itertools.product(range(qsize), repeat=3):
-        lifted = tuple(reps[a] for a in args)
-        table.append(proj[p.table[tuple_index(n, lifted)]])
-    return TermOp(3, tuple(table), p.witness)
+def _project_term(p: TermOp, theta: Congruence) -> TermOp:
+    """Image of a term operation on the quotient by theta."""
+    n = len(theta.block_index)
+    proj = np.asarray(theta.block_index)
+    _, reps = np.unique(proj, return_index=True)
+    table = proj[np.asarray(p.table).reshape((n,) * 3)[np.ix_(reps, reps, reps)]]
+    return TermOp(3, tuple(table.ravel().tolist()), p.witness)
 
 
-def commutator_oracle(
-    alg: FiniteAlgebra,
-    R: Congruence,
-    S: Congruence,
-    p: TermOp,
-    max_size: int = 12,
-) -> Congruence:
+def commutator_oracle(alg: FiniteAlgebra, R: Congruence, S: Congruence, p: TermOp) -> Congruence:
     """Independent lattice characterisation: the meet of all congruences T
     whose quotient makes R/T and S/T centralise each other."""
     _require_maltsev(alg, p)
     acc = Congruence.total(alg.size)
-    for T in all_congruences(alg, max_size=max_size):
-        qalg, proj = quotient(alg, T)
-        reps = [blk[0] for blk in T.blocks()]
-        p_t = _project_term(p, proj, reps, qalg.size)
+    for T in all_congruences(alg):
+        qalg, _ = quotient(alg, T)
+        p_t = _project_term(p, T)
         r_t = quotient_congruence(alg, R, T)
         s_t = quotient_congruence(alg, S, T)
         if centralize(qalg, r_t, s_t, p_t):
@@ -210,29 +170,30 @@ def commutator_oracle(
 def center(alg: FiniteAlgebra, p: TermOp) -> Congruence:
     """Largest congruence centralised by the total congruence.
 
-    Computed as the join of the central principal congruences, then
-    verified post hoc: the join is still central and no further principal
-    congruence can be added.
+    The commutator is join-distributive in congruence-modular varieties, so
+    the center is the join of the central principal congruences; only the
+    distinct principal congruences are tried.  Verified post hoc: the join
+    is still central and no widening by a principal congruence is.
     """
     _require_maltsev(alg, p)
     total = Congruence.total(alg.size)
     diag = Congruence.diagonal(alg.size)
+    principals = principal_congruences(alg)
     acc = diag
-    for a in range(alg.size):
-        for b in range(a + 1, alg.size):
-            c = cg(alg, [(a, b)])
-            if commutator(alg, total, c, p) == diag:
-                acc = join(alg, acc, c)
+    for c in principals:
+        if commutator(alg, total, c, p) == diag:
+            acc = join(alg, acc, c)
     if commutator(alg, total, acc, p) != diag:
         raise InternalError("join of central principal congruences is not central")
-    for a in range(alg.size):
-        for b in range(a + 1, alg.size):
-            if not acc.same(a, b):
-                widened = join(alg, acc, cg(alg, [(a, b)]))
-                if commutator(alg, total, widened, p) == diag:
-                    raise InternalError(
-                        f"center is not maximal: pair {(a, b)} could be added"
-                    )
+    widenings = {}
+    for c in principals:
+        if not c.leq(acc):
+            widenings.setdefault(join(alg, acc, c), c)
+    for widened, c in widenings.items():
+        if commutator(alg, total, widened, p) == diag:
+            a, b = next((a, b) for a in range(alg.size) for b in range(a + 1, alg.size)
+                        if c.same(a, b) and not acc.same(a, b))
+            raise InternalError(f"center is not maximal: pair {(a, b)} could be added")
     return acc
 
 
@@ -270,11 +231,7 @@ def lower_series(alg: FiniteAlgebra, p: TermOp, max_steps: int | None = None) ->
         if nxt.is_diagonal():
             stabilized = True
             break
-    cls = None
-    for i, t in enumerate(terms):
-        if t.is_diagonal():
-            cls = i
-            break
+    cls = next((i for i, t in enumerate(terms) if t.is_diagonal()), None)
     return SeriesReport("lower", tuple(terms), stabilized, cls)
 
 
@@ -290,9 +247,7 @@ def upper_series(alg: FiniteAlgebra, p: TermOp, max_steps: int | None = None) ->
     for _ in range(cap):
         cur = terms[-1]
         qalg, proj = quotient(alg, cur)
-        reps = [blk[0] for blk in cur.blocks()]
-        p_q = _project_term(p, proj, reps, qalg.size)
-        z = center(qalg, p_q)
+        z = center(qalg, _project_term(p, cur))
         nxt = Congruence.from_labels([z.block_index[proj[x]] for x in range(alg.size)])
         if nxt == cur:
             stabilized = True
@@ -301,11 +256,7 @@ def upper_series(alg: FiniteAlgebra, p: TermOp, max_steps: int | None = None) ->
         if nxt.is_total():
             stabilized = True
             break
-    cls = None
-    for i, t in enumerate(terms):
-        if t.is_total():
-            cls = i
-            break
+    cls = next((i for i, t in enumerate(terms) if t.is_total()), None)
     return SeriesReport("upper", tuple(terms), stabilized, cls)
 
 

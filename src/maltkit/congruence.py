@@ -3,18 +3,19 @@
 A congruence is stored canonically as a block-index array: blocks are
 numbered by their least element (the block of 0 is block 0, the next new
 block is 1, and so on), which makes equality of congruences equality of
-tuples.
+tuples.  Generation and compatibility checks run as array operations over
+the algebra's cached translation array (`FiniteAlgebra.translations`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .algebra import FiniteAlgebra, Operation
 from .errors import InvariantViolation, LatticeBudgetExceeded, NotACongruence
 
-DEFAULT_LATTICE_SIZE_CAP = 12
 DEFAULT_LATTICE_BUDGET = 100_000
 
 
@@ -38,12 +39,8 @@ class Congruence:
     def from_labels(cls, labels) -> "Congruence":
         """Canonicalise an arbitrary element->label map (first occurrence order)."""
         relabel: dict = {}
-        out = []
-        for lab in labels:
-            if lab not in relabel:
-                relabel[lab] = len(relabel)
-            out.append(relabel[lab])
-        return cls(len(out), tuple(out))
+        out = tuple(relabel.setdefault(lab, len(relabel)) for lab in labels)
+        return cls(len(out), out)
 
     @classmethod
     def diagonal(cls, size: int) -> "Congruence":
@@ -79,22 +76,11 @@ class Congruence:
         return out
 
     def relation(self) -> frozenset:
-        return frozenset(
-            (a, b)
-            for a in range(self.size)
-            for b in range(self.size)
-            if self.same(a, b)
-        )
+        return frozenset((a, b) for block in self.blocks() for a in block for b in block)
 
     def leq(self, other: "Congruence") -> bool:
         """Refinement order: every block of self lies inside a block of other."""
-        image: dict[int, int] = {}
-        for x in range(self.size):
-            b = self.block_index[x]
-            ob = other.block_index[x]
-            if image.setdefault(b, ob) != ob:
-                return False
-        return True
+        return len(set(zip(self.block_index, other.block_index))) == self.nblocks
 
     def is_diagonal(self) -> bool:
         return self.nblocks == self.size
@@ -103,86 +89,107 @@ class Congruence:
         return self.nblocks <= 1
 
 
-def _translations(alg: FiniteAlgebra):
-    """All elementary translations: one argument free, the rest frozen."""
-    out = []
-    for op in alg.ops:
-        if op.arity == 0:
-            continue
-        for pos in range(op.arity):
-            for consts in itertools.product(range(alg.size), repeat=op.arity - 1):
-                table = []
-                for x in range(alg.size):
-                    args = consts[:pos] + (x,) + consts[pos:]
-                    table.append(alg.apply(op, args))
-                out.append(tuple(table))
-    return out
+def _merge(roots: np.ndarray, u, v) -> np.ndarray:
+    """Join the blocks of u[i] and v[i] in the root array, in place.
+
+    roots[x] is the least element of the block of x.  Each round takes the
+    pairs whose roots differ, deduplicated as one 1-D unique of a*n + b,
+    hooks every root onto the least root it meets among them and then
+    compresses paths.  Returns the elements that stopped being roots.
+    """
+    n = roots.size
+    ident = np.arange(n)
+    was_root = roots == ident
+    while True:
+        ru, rv = roots[u], roots[v]
+        split = ru != rv
+        if not split.any():
+            break
+        ru, rv = ru[split], rv[split]
+        u, v = np.divmod(np.unique(np.minimum(ru, rv) * n + np.maximum(ru, rv)), n)
+        np.minimum.at(roots, v, u)
+        while True:
+            up = roots[roots]
+            if np.array_equal(up, roots):
+                break
+            roots[:] = up
+    return np.flatnonzero(was_root & (roots != ident))
+
+
+def _generate(translations: np.ndarray, size: int, u, v) -> np.ndarray:
+    """Root array of the least congruence containing the pairs (u[i], v[i]).
+
+    The algebra is given by its elementary translations.  Every element x
+    that stops being a root is paired with its root r, and the pairs
+    (t(x), t(r)) are merged for every translation t at once; the fixpoint is
+    reached when a round stops no root.  These pairs generate the
+    equivalence, so the result is compatible, and each merge is forced, so
+    it is the least such.  Every element is pushed through the translations
+    at most once.
+    """
+    roots = np.arange(size)
+    moved = _merge(roots, u, v)
+    while moved.size:
+        # column-major ravels copy nothing from Fortran-ordered translations
+        moved = _merge(roots, translations[:, moved].ravel(order="F"),
+                       translations[:, roots[moved]].ravel(order="F"))
+    return roots
+
+
+def _from_roots(roots: np.ndarray) -> Congruence:
+    """Canonical congruence of a root array (blocks numbered by least element)."""
+    number = np.cumsum(roots == np.arange(roots.size)) - 1
+    return Congruence(roots.size, tuple(number[roots].tolist()))
+
+
+def _first_elements(cong: Congruence) -> np.ndarray:
+    """Root array of a congruence: the least element of each element's block."""
+    labels = np.asarray(cong.block_index, dtype=np.int64)
+    _, first = np.unique(labels, return_index=True)
+    return first[labels]
 
 
 def congruence_violation(alg: FiniteAlgebra, cong: Congruence):
-    """First incompatibility witness, or None.
+    """First incompatibility witness (t, a, b), or None.
 
     Compatibility with every operation is equivalent to closure under the
-    elementary translations, which keeps the check quadratic in practice.
+    elementary translations: every translation must send each element and
+    the least element of its block to one block.  Only when that fails is
+    the witness looked up: the first translation in row order, then the
+    lexicographically first pair a < b it splits.
     """
     if cong.size != alg.size:
         raise InvariantViolation("congruence-size", cong.size)
-    for t in _translations(alg):
-        for a in range(alg.size):
-            for b in range(a + 1, alg.size):
-                if cong.same(a, b) and not cong.same(t[a], t[b]):
-                    return (t, a, b)
-    return None
+    labels = np.asarray(cong.block_index, dtype=np.int64)
+    images = labels[alg.translations]
+    split = images != images[:, _first_elements(cong)]
+    if not split.any():
+        return None
+    t = int(np.argmax(split.any(axis=1)))
+    row = images[t]
+    for a in range(alg.size):
+        for b in range(a + 1, alg.size):
+            if cong.same(a, b) and row[a] != row[b]:
+                return (tuple(alg.translations[t].tolist()), a, b)
 
 
 def is_congruence(alg: FiniteAlgebra, cong: Congruence) -> bool:
     return congruence_violation(alg, cong) is None
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
-
-    def labels(self):
-        return [self.find(x) for x in range(len(self.parent))]
-
-
 def cg(alg: FiniteAlgebra, pairs) -> Congruence:
     """Least congruence containing the given pairs.
 
-    Standard worklist closure: union-find for the equivalence part, with
-    every newly merged pair pushed through all elementary translations.
+    Array closure over the algebra's cached translation array (R. Freese,
+    "Computing congruences efficiently", Algebra Universalis 59, 2008): see
+    `_generate`.
     """
-    uf = _UnionFind(alg.size)
-    queue = [tuple(p) for p in pairs]
-    for a, b in queue:
+    pairs = [tuple(p) for p in pairs]
+    for a, b in pairs:
         if not (0 <= a < alg.size and 0 <= b < alg.size):
             raise InvariantViolation("pair-in-carrier", (a, b))
-    translations = _translations(alg)
-    while queue:
-        a, b = queue.pop()
-        if not uf.union(a, b):
-            continue
-        for t in translations:
-            ta, tb = t[a], t[b]
-            if uf.find(ta) != uf.find(tb):
-                queue.append((ta, tb))
-    return Congruence.from_labels(uf.labels())
+    u, v = [a for a, _ in pairs], [b for _, b in pairs]
+    return _from_roots(_generate(alg.translations, alg.size, u, v))
 
 
 def meet(c1: Congruence, c2: Congruence) -> Congruence:
@@ -195,13 +202,10 @@ def join(alg: FiniteAlgebra, c1: Congruence, c2: Congruence) -> Congruence:
     """Join in the congruence lattice: the congruence generated by the union."""
     if c1.size != c2.size or c1.size != alg.size:
         raise InvariantViolation("join-same-carrier", (c1.size, c2.size, alg.size))
-    uf = _UnionFind(alg.size)
-    for c in (c1, c2):
-        for block in c.blocks():
-            for x in block[1:]:
-                uf.union(block[0], x)
+    roots = np.arange(alg.size)
+    _merge(roots, np.tile(roots, 2), np.concatenate([_first_elements(c1), _first_elements(c2)]))
     # the transitive closure of a union of congruences is already compatible
-    return Congruence.from_labels(uf.labels())
+    return _from_roots(roots)
 
 
 def compose(c1: Congruence, c2: Congruence) -> frozenset:
@@ -229,38 +233,37 @@ def principal_congruences(alg: FiniteAlgebra) -> list[Congruence]:
 
 
 def all_congruences(
-    alg: FiniteAlgebra,
-    max_size: int = DEFAULT_LATTICE_SIZE_CAP,
-    budget: int = DEFAULT_LATTICE_BUDGET,
+    alg: FiniteAlgebra, budget: int = DEFAULT_LATTICE_BUDGET
 ) -> tuple[Congruence, ...]:
     """The complete congruence lattice.
 
-    Principal congruences closed under join; complete because every
-    congruence is the join of the principal congruences below it.  Guarded
-    by a carrier-size cap (override `max_size` for larger inputs at your
-    own risk) and an element budget.
+    Every congruence is the join of the principal congruences below it, so
+    the lattice is the closure of the principal congruences under joining
+    with a principal congruence.  The budget counts the joins performed;
+    each congruence past the principal ones costs at least one, so it
+    bounds the output as well as the work.
     """
-    if alg.size > max_size:
-        raise LatticeBudgetExceeded(
-            f"carrier size {alg.size} exceeds lattice cap {max_size}"
-        )
     found: dict[tuple, Congruence] = {}
     diag = Congruence.diagonal(alg.size)
     found[diag.block_index] = diag
-    work = principal_congruences(alg)
-    for c in work:
+    principals = principal_congruences(alg)
+    for c in principals:
         found.setdefault(c.block_index, c)
     frontier = list(found.values())
+    joins = 0
     while frontier:
         fresh = []
         for c1 in frontier:
-            for c2 in list(found.values()):
+            for c2 in principals:
+                if joins >= budget:
+                    raise LatticeBudgetExceeded(
+                        f"lattice budget {budget} exceeded: {joins} joins, "
+                        f"{len(found)} congruences found",
+                        count=joins,
+                    )
+                joins += 1
                 j = join(alg, c1, c2)
                 if j.block_index not in found:
-                    if len(found) >= budget:
-                        raise LatticeBudgetExceeded(
-                            f"lattice budget {budget} exceeded", count=len(found)
-                        )
                     found[j.block_index] = j
                     fresh.append(j)
         frontier = fresh
@@ -272,16 +275,14 @@ def quotient(alg: FiniteAlgebra, theta: Congruence):
     witness = congruence_violation(alg, theta)
     if witness is not None:
         raise NotACongruence(f"partition is not a congruence (witness {witness})")
-    proj = theta.block_index
-    reps = [block[0] for block in theta.blocks()]
-    n = theta.nblocks
-    ops = []
-    for op in alg.ops:
-        table = []
-        for args in itertools.product(range(n), repeat=op.arity):
-            table.append(proj[alg.apply(op, tuple(reps[a] for a in args))])
-        ops.append(Operation(op.name, op.arity, tuple(table)))
-    return FiniteAlgebra(n, tuple(ops)), tuple(proj)
+    proj = np.asarray(theta.block_index)
+    _, reps = np.unique(proj, return_index=True)
+    ops = tuple(
+        Operation(op.name, op.arity,
+                  tuple(proj[alg.op_array(op)[np.ix_(*[reps] * op.arity)]].ravel().tolist()))
+        for op in alg.ops
+    )
+    return FiniteAlgebra(theta.nblocks, ops), theta.block_index
 
 
 def quotient_congruence(
@@ -293,7 +294,4 @@ def quotient_congruence(
     M/below whose preimage is join(theta, below).
     """
     j = join(alg, theta, below)
-    labels = []
-    for block in below.blocks():
-        labels.append(j.block_index[block[0]])
-    return Congruence.from_labels(labels)
+    return Congruence.from_labels([j.block_index[block[0]] for block in below.blocks()])

@@ -6,7 +6,8 @@ variables v0, ..., v(k-1) and an ordered list of ``(name, holds)`` pairs.
 ``holds`` takes the first j variables, j being its number of parameters, as
 integer index arrays that broadcast against each other (the leading ones may
 be plain ints), and returns where the identity holds, usually the comparison
-of its two sides evaluated by table lookups.
+of its two sides evaluated by table lookups.  A ``holds`` taking ``*args``
+gets all k variables.
 
 Witness order is that of nested loops over v0, ..., v(k-1):
 
@@ -38,13 +39,19 @@ from .errors import InvariantViolation
 CHUNK = 1 << 18
 
 
+def _reads(holds, k):
+    """How many leading variables a law reads; one taking *args reads all k."""
+    params = inspect.signature(holds).parameters.values()
+    return k if any(p.kind is p.VAR_POSITIONAL for p in params) else len(params)
+
+
 def first_violation(sizes, laws):
     """The first ``(law name, witness)`` in the order above, or None."""
     sizes = tuple(sizes)
     if min(sizes) <= 0:
         return None
-    laws = [(name, holds, len(inspect.signature(holds).parameters)) for name, holds in laws]
     k = len(sizes)
+    laws = [(name, holds, _reads(holds, k)) for name, holds in laws]
     # Axes after `cut` are whole in every chunk, axis `cut` is split into
     # steps, and the axes before it are looped over one value at a time.
     cut = k - 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import DEFAULT_CLONE_BUDGET, FiniteAlgebra, TermOp, iter_term_ops, tuple_index
-from .congruence import Congruence, _UnionFind, congruence_violation
+from .congruence import Congruence, _merge, congruence_violation
 from .errors import (
     DomainError,
     EmptyTorsor,
@@ -249,11 +249,11 @@ def _coequaliser_group(m: TernaryTable, base) -> TorsorGroup:
     n = m.size
     T = m._table
     pairs = [(x, y) for x in range(n) for y in range(n) if base[x] == base[y]]
-    uf = _UnionFind(n * n)
-    for x, y in pairs:
-        for z in range(n):
-            uf.union(x * n + y, m(x, y, z) * n + z)
-    labels = uf.labels()
+    labels = np.arange(n * n)
+    if pairs:
+        xs, ys = np.array(pairs).T
+        _merge(labels, np.repeat(xs * n + ys, n), (T[xs, ys, :] * n + np.arange(n)).ravel())
+    labels = labels.tolist()
     classes: dict[int, int] = {}
     reps = []
     sub = np.full((n, n), -1)
@@ -394,6 +394,25 @@ class CentralTorsorReport:
         }
 
 
+def restriction_violation(alg: FiniteAlgebra, cols, pv, ptab):
+    """First (operation name, indices into the triples) at which the ternary
+    table ptab, restricted to the triples cols = (X, Y, Z) where it takes the
+    values pv, fails to commute with an operation of alg, or None.  The law
+    kernel finds the lexicographically first failing tuple, in chunks."""
+    X, Y, Z = cols
+    for op in alg.ops:
+        if op.arity == 0:
+            continue  # m(c, c, c) = c for a Maltsev m
+        f = alg.op_array(op)
+        at = lambda col, idx: f[tuple(col[i] for i in idx)]
+        hit = first_violation((len(pv),) * op.arity, [
+            (op.name, lambda *idx: ptab[at(X, idx), at(Y, idx), at(Z, idx)] == at(pv, idx)),
+        ])
+        if hit is not None:
+            return hit
+    return None
+
+
 def central_torsor_check(
     alg: FiniteAlgebra, p, m_ext: TernaryTable
 ) -> CentralTorsorReport:
@@ -432,19 +451,13 @@ def central_torsor_check(
     if witness is not None:
         return CentralTorsorReport(False, "associativity fails", None, witness)
     # homomorphism condition: the mixed domain is a subalgebra of E^3
-    dom = list(m_ext.domain())
-    for op in alg.ops:
-        for combo in itertools.product(dom, repeat=op.arity):
-            fx = alg.apply(op, tuple(t[0] for t in combo))
-            fy = alg.apply(op, tuple(t[1] for t in combo))
-            fz = alg.apply(op, tuple(t[2] for t in combo))
-            if m_ext(fx, fy, fz) != alg.apply(op, tuple(m_ext(*t) for t in combo)):
-                return CentralTorsorReport(
-                    False,
-                    f"restriction is not a homomorphism (operation {op.name})",
-                    None,
-                    (op.name,) + combo,
-                )
+    cols = np.array(list(m_ext.domain()), dtype=np.int64).reshape(-1, 3).T
+    hit = restriction_violation(alg, cols, T[tuple(cols)], T)
+    if hit is not None:
+        name, idx = hit
+        triples = tuple(tuple(cols[:, i].tolist()) for i in idx)
+        return CentralTorsorReport(
+            False, f"restriction is not a homomorphism (operation {name})", None, (name,) + triples)
 
     # constant group: quotient of E x_B E by (x,y) ~ (m(x,y,z), z), z arbitrary
     group = _coequaliser_group(m_ext, p)

@@ -202,6 +202,8 @@ class MonoidExtension:
         require((N, N), [
             ("extension-proj-hom", lambda a, b: proj[tmul[a, b]] == bmul[proj[a], proj[b]]),
         ])
+        # position of each element in its fibre, for act
+        pos = np.zeros(N, dtype=np.int64)
         for b in range(B):
             fib = np.flatnonzero(proj == b)
             g = self.system.groups[b]
@@ -210,7 +212,6 @@ class MonoidExtension:
             require_range("extension-action-entry", self.actions[b], N)
             table = np.reshape(self.actions[b], (g.size, fib.size))
             gadd = np.reshape(g.add, (g.size, g.size))
-            pos = np.full(N, -1)
             pos[fib] = np.arange(fib.size)
             hit = first_violation((g.size, fib.size), [
                 ("extension-action-fiber", lambda d, i: proj[table[d, i]] == b),
@@ -226,13 +227,16 @@ class MonoidExtension:
             if hit is not None:
                 law, (i, *ds) = hit
                 raise InvariantViolation(law, (b, *ds, int(fib[i])))
+        object.__setattr__(self, "_pos", pos.tolist())
 
     def fiber(self, b: int) -> tuple[int, ...]:
         return tuple(e for e in range(self.total.size) if self.proj[e] == b)
 
     def act(self, b: int, d: int, e: int) -> int:
-        fib = self.fiber(b)
-        return self.actions[b][d * len(fib) + fib.index(e)]
+        if self.proj[e] != b:
+            raise ValueError(f"{e} is not in the fibre over {b}")
+        fibre_size = len(self.actions[b]) // self.system.groups[b].size
+        return self.actions[b][d * fibre_size + self._pos[e]]
 
     def to_json(self):
         return {

@@ -2,7 +2,7 @@
 
 Works directly on a multiplication table: normal subgroups by subset
 enumeration, commutator subgroups from element commutators, centers and
-lower central series by elementwise search.  Deliberately shares no code
+lower and upper central series by elementwise search.  Deliberately shares no code
 with the congruence machinery it is checking.
 """
 
@@ -80,6 +80,19 @@ class GroupTable:
             series.append(nxt)
             if nxt == {self.e}:
                 break
+        return series
+
+    def upper_central_series(self):
+        """Z0 = {e}, Z(i+1) = {g : every commutator [g, x] lies in Zi}."""
+        series = [frozenset({self.e})]
+        while True:
+            nxt = frozenset(
+                g for g in range(self.n)
+                if all(self.comm(g, x) in series[-1] for x in range(self.n))
+            )
+            if nxt == series[-1]:
+                break
+            series.append(nxt)
         return series
 
     def nilpotency_class(self):

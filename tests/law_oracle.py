@@ -110,3 +110,27 @@ def monoid_extension_violation(total, base, proj, system, actions):
                     yield ("extension-action-sum", (b, d1, d2, e),
                            table[g.plus(d1, d2) * k + i] == table[d1 * k + step])
     return _first(cases())
+
+
+def congruence_violation(alg, labels):
+    """First (translation, a, b) with a < b in one block of `labels` whose
+    images under the translation fall in different blocks, or None.
+
+    Translations in the order operations, free position, frozen arguments
+    lexicographically; each is a tuple read off the flat table (leftmost
+    argument most significant)."""
+    n = alg.size
+    for op in alg.ops:
+        for pos in range(op.arity):
+            for consts in itertools.product(range(n), repeat=op.arity - 1):
+                t = []
+                for x in range(n):
+                    idx = 0
+                    for v in consts[:pos] + (x,) + consts[pos:]:
+                        idx = idx * n + v
+                    t.append(op.table[idx])
+                for a in range(n):
+                    for b in range(a + 1, n):
+                        if labels[a] == labels[b] and labels[t[a]] != labels[t[b]]:
+                            return tuple(t), a, b
+    return None

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -6,9 +7,13 @@ from pathlib import Path
 
 import pytest
 
+import maltkit
+from maltkit.catalog import dihedral_group
 from maltkit.cli import main
 
 DATA = Path(__file__).parent / "data"
+# a child interpreter finds maltkit where this one did
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(maltkit.__file__).parents[1]))
 
 
 def run_cli(capsys, *argv):
@@ -168,7 +173,7 @@ def test_parse_error_exit_code(capsys, tmp_path):
 def test_unknown_verb_exit_64():
     proc = subprocess.run(
         [sys.executable, "-m", "maltkit.cli", "definitely-not-a-verb"],
-        capture_output=True,
+        capture_output=True, env=CHILD_ENV,
     )
     assert proc.returncode == 64
 
@@ -176,10 +181,31 @@ def test_unknown_verb_exit_64():
 def test_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "maltkit.cli", "counterexample"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["candidates"] == 108
+
+
+def test_abelianize_d8_peak_memory(tmp_path):
+    """`mk abelianize` on D8 checks centralize(total, total) over 4,096 mixed
+    triples, 16.7 million pairs for the multiplication; the check runs in
+    bounded chunks, so the child's peak RSS stays under 100 MB."""
+    ops = " ".join(f"op {op.name}/{op.arity} = [{' '.join(map(str, op.table))}]"
+                   for op in dihedral_group(8).ops)
+    spec = tmp_path / "d8.alg"
+    spec.write_text(f"algebra D8 {{ size 16 {ops} }}\n")
+    measure = (
+        "import resource, subprocess, sys\n"
+        "cmd = [sys.executable, '-m', 'maltkit.cli', 'abelianize', sys.argv[1]]\n"
+        "code = subprocess.run(cmd, capture_output=True).returncode\n"
+        "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", measure, str(spec)],
+                          capture_output=True, text=True, env=CHILD_ENV, check=True)
+    code, max_rss_kb = map(int, proc.stdout.split())
+    assert code == 1  # D8 is not abelian: a domain error
+    assert max_rss_kb < 100 * 1024
 
 
 @pytest.mark.parametrize("flags", [["--threads", "2"], ["--json"]])

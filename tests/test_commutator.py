@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from maltkit.algebra import FiniteAlgebra, Operation, TermOp
+from maltkit.algebra import FiniteAlgebra, Operation, TermOp, product
 from maltkit.catalog import (
     cyclic_group,
     dihedral_group,
@@ -189,18 +189,56 @@ def test_upper_equals_lower_class_everywhere():
         assert low == up
 
 
+def _group_agreement(alg, p, mul, inv, series=True):
+    oracle = GroupTable(alg, mul, inv)
+    for n1 in oracle.normal_subgroups():
+        for n2 in oracle.normal_subgroups():
+            r = Congruence(alg.size, oracle.congruence_blocks(n1))
+            s = Congruence(alg.size, oracle.congruence_blocks(n2))
+            got = commutator(alg, r, s, p)
+            want = oracle.congruence_blocks(oracle.commutator_subgroup(n1, n2))
+            assert got.block_index == want
+    assert center(alg, p).block_index == oracle.congruence_blocks(oracle.center_subgroup())
+    assert nilpotence_class(alg, p) == oracle.nilpotency_class()
+    if series:
+        low, up = lower_series(alg, p), upper_series(alg, p)
+        assert [t.block_index for t in low.terms] == [
+            oracle.congruence_blocks(g) for g in oracle.lower_central_series()]
+        want_up = [oracle.congruence_blocks(z) for z in oracle.upper_central_series()]
+        assert [t.block_index for t in up.terms] == want_up
+
+
 def test_group_oracle_full_agreement():
     for alg, p, mul, inv in group_corpus():
-        oracle = GroupTable(alg, mul, inv)
-        normals = oracle.normal_subgroups()
-        for n1 in normals:
-            for n2 in normals:
-                r = Congruence(alg.size, oracle.congruence_blocks(n1))
-                s = Congruence(alg.size, oracle.congruence_blocks(n2))
-                got = commutator(alg, r, s, p)
-                want = oracle.congruence_blocks(oracle.commutator_subgroup(n1, n2))
-                assert got.block_index == want
-        assert center(alg, p).block_index == oracle.congruence_blocks(
-            oracle.center_subgroup()
-        )
-        assert nilpotence_class(alg, p) == oracle.nilpotency_class()
+        _group_agreement(alg, p, mul, inv, series=False)
+
+
+def _s3_times_z2():
+    s3 = symmetric_group_3()
+    z2 = FiniteAlgebra(2, (
+        Operation("mul", 2, (0, 1, 1, 0)), Operation("inv", 1, (0, 1)), Operation("e", 0, (0,)),
+    ))
+    return product([s3, z2])
+
+
+@pytest.mark.parametrize("alg", [dihedral_group(8), _s3_times_z2()], ids=["D8", "S3xZ2"])
+def test_group_oracle_agreement_order_16_and_12(alg):
+    _group_agreement(alg, group_maltsev_term(alg), "mul", "inv")
+
+
+def test_center_and_class_of_d16():
+    """A 32-element group: the center and the nilpotence class of D16."""
+    d16 = dihedral_group(16)
+    p = group_maltsev_term(d16)
+    oracle = GroupTable(d16, "mul", "inv")
+    assert center(d16, p).block_index == oracle.congruence_blocks(oracle.center_subgroup())
+    assert nilpotence_class(d16, p) == oracle.nilpotency_class() == 4
+
+
+def test_commutator_matches_oracle_on_d8():
+    d8 = dihedral_group(8)
+    p = group_maltsev_term(d8)
+    lattice = all_congruences(d8)
+    assert len(lattice) == 7  # the normal subgroups of D8
+    for r, s in itertools.combinations_with_replacement(lattice, 2):
+        assert commutator(d8, r, s, p) == commutator_oracle(d8, r, s, p)

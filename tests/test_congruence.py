@@ -19,6 +19,8 @@ from maltkit.congruence import (
 )
 from maltkit.errors import LatticeBudgetExceeded, NotACongruence
 
+import law_oracle
+
 
 def set_partitions(n):
     """All partitions of {0..n-1} as canonical label tuples (test oracle)."""
@@ -61,21 +63,45 @@ def test_cg_output_is_congruence(z4):
             assert congruence_violation(z4, cg(z4, [(a, b)])) is None
 
 
-@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=4))
-@settings(max_examples=40, deadline=None)
-def test_cg_compatibility_random_algebra(pairs):
-    # a fixed non-group algebra: one unary and one binary operation
-    alg = FiniteAlgebra(
-        4,
-        (
-            Operation("u", 1, (1, 2, 3, 0)),
-            Operation("b", 2, tuple(max(a, b) for a in range(4) for b in range(4))),
-        ),
+@st.composite
+def algebras_with_pairs(draw):
+    """A random algebra on at most 5 elements with a nullary, a unary, a
+    binary and a ternary operation, and a few pairs of its elements."""
+    n = draw(st.integers(1, 5))
+    element = st.integers(0, n - 1)
+    ops = tuple(
+        Operation(name, k, tuple(draw(st.lists(element, min_size=n**k, max_size=n**k))))
+        for name, k in (("c", 0), ("u", 1), ("b", 2), ("t", 3))
     )
+    pairs = draw(st.lists(st.tuples(element, element), max_size=4))
+    return FiniteAlgebra(n, ops), pairs
+
+
+@given(algebras_with_pairs())
+@settings(max_examples=60, deadline=None)
+def test_cg_compatibility_random_algebra(case):
+    """cg is the meet of every congruence that contains the pairs."""
+    alg, pairs = case
     c = cg(alg, pairs)
     assert congruence_violation(alg, c) is None
     for a, b in pairs:
         assert c.same(a, b)
+    least = Congruence.total(alg.size)
+    for d in lattice_by_filter(alg):
+        if all(d.same(a, b) for a, b in pairs):
+            least = meet(least, d)
+    assert c == least
+
+
+@given(algebras_with_pairs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_congruence_violation_matches_oracle(case, data):
+    alg, _ = case
+    labels = data.draw(st.lists(st.integers(0, alg.size - 1), min_size=alg.size,
+                                max_size=alg.size))
+    cong = Congruence.from_labels(labels)
+    assert congruence_violation(alg, cong) == law_oracle.congruence_violation(
+        alg, cong.block_index)
 
 
 def test_meet_join_units(z4):
@@ -117,10 +143,13 @@ def test_all_congruences_one_element():
     assert list(all_congruences(one)) == [Congruence.diagonal(1)]
 
 
-def test_all_congruences_size_cap():
-    big = FiniteAlgebra(13, ())
-    with pytest.raises(LatticeBudgetExceeded):
-        all_congruences(big)
+def test_all_congruences_budget():
+    # every partition of an operation-free carrier is a congruence: Bell(5) = 52
+    assert len(all_congruences(FiniteAlgebra(5, ()))) == 52
+    # the 4,140 partitions of 8 elements take far more joins than the budget
+    with pytest.raises(LatticeBudgetExceeded) as exc:
+        all_congruences(FiniteAlgebra(8, ()), budget=1_000)
+    assert exc.value.count == 1_000
 
 
 def test_lattice_laws(z4):

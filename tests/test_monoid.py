@@ -81,6 +81,19 @@ def test_counterexample_projection_is_linear():
     assert check_linear_extension(ext).ok
 
 
+def test_act_reads_the_fibre_table():
+    mon, system = counterexample_monoid()
+    ext = trivial_extension(mon, system)
+    for b in range(ext.base.size):
+        fib = ext.fiber(b)
+        for d in range(system.groups[b].size):
+            for i, e in enumerate(fib):
+                assert ext.act(b, d, e) == ext.actions[b][d * len(fib) + i]
+    outside = next(e for e in range(ext.total.size) if ext.proj[e] != 0)
+    with pytest.raises(ValueError):
+        ext.act(0, 0, outside)
+
+
 def test_twisted_action_detected():
     mon = mult_monoid_2()
     ext = trivial_extension(mon, constant_system(mon, AbelianGroup.cyclic(2)))
