@@ -16,6 +16,7 @@ ring-module pair.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -471,23 +472,21 @@ def form_isomorphism(f1: LinearForm, f2: LinearForm):
     """A pair (ring iso, module iso) intertwining the two forms, or None."""
     R1, R2 = f1.ring, f2.ring
     M1, M2 = f1.module, f2.module
+    mul1, mul2 = np.reshape(R1.mul, (R1.size,) * 2), np.reshape(R2.mul, (R2.size,) * 2)
+    act1, act2 = np.reshape(M1.act, (R1.size, M1.size)), np.reshape(M2.act, (R2.size, M2.size))
+    d1, d2 = np.asarray(f1.d), np.asarray(f2.d)
     for f in isomorphisms(R1.additive_group(), R2.additive_group()):
-        if f[R1.one] != R2.one:
-            continue
-        if any(
-            f[R1.mulv(a, b)] != R2.mulv(f[a], f[b])
-            for a in range(R1.size)
-            for b in range(R1.size)
-        ):
+        F = np.asarray(f)
+        if f[R1.one] != R2.one or first_violation((R1.size,) * 2, [
+            ("ring-iso-multiplicative", lambda a, b: F[mul1[a, b]] == mul2[F[a], F[b]]),
+        ]):
             continue
         for g in isomorphisms(M1.additive_group(), M2.additive_group()):
-            if any(
-                g[M1.smul(r, x)] != M2.smul(f[r], g[x])
-                for r in range(R1.size)
-                for x in range(M1.size)
-            ):
-                continue
-            if all(f2.d[g[x]] == f[f1.d[x]] for x in range(M1.size)):
+            G = np.asarray(g)
+            if not first_violation((R1.size, M1.size), [
+                ("module-iso-equivariant", lambda r, x: G[act1[r, x]] == act2[F[r], G[x]]),
+                ("forms-intertwined", lambda r, x: d2[G[x]] == F[d1[x]]),
+            ]):
                 return f, g
     return None
 
@@ -597,48 +596,38 @@ class TheoryWithConstants:
 
     def check_linear_extension_identities(self, max_arity: int = 2) -> bool:
         """The two subtraction identities of a linear extension, verified on
-        all composable pairs up to the given arity."""
-        R, K = self.ring, self.kmodule
-        for n in range(0, max_arity + 1):
-            for k in range(1, max_arity + 1):
-                for l in range(0, max_arity + 1):
-                    homs_nk = self.hom(n, k)
-                    homs_ln = self.hom(l, n)
-                    for e1 in homs_nk:
-                        for e2 in homs_ln:
-                            for e2p in homs_ln:
-                                if self.project(e2) != self.project(e2p):
-                                    continue
-                                lhs = self.fiber_difference(
-                                    self.compose(e1, e2, n),
-                                    self.compose(e1, e2p, n),
-                                )
-                                diff = self.fiber_difference(e2, e2p)
-                                rhs = tuple(
-                                    _matvec_k(self, self.project(e1)[j], diff)
-                                    for j in range(k)
-                                )
-                                if lhs != rhs:
-                                    return False
-                    for e1 in homs_nk:
-                        for e1p in homs_nk:
-                            if self.project(e1) != self.project(e1p):
-                                continue
-                            for e2 in homs_ln:
-                                lhs = self.fiber_difference(
-                                    self.compose(e1, e2, n),
-                                    self.compose(e1p, e2, n),
-                                )
-                                # the right action on differences is trivial:
-                                # composition is affine in the outer K-part
-                                if lhs != self.fiber_difference(e1, e1p):
-                                    return False
+        all composable pairs up to the given arity.  Each hom-set is encoded
+        once as arrays of its kappa (H, k) and rho (H, k, n) parts, and
+        composition as a table of the kappa parts of all composites."""
+        K = self.kmodule
+        kadd = np.reshape(K.add, (K.size, K.size))
+        kact = np.reshape(K.act, (self.ring.size, K.size))
+        kminus = kadd[:, list(K.additive_group().neg)]
+        homs, parts = {}, {}
+        for n, k in itertools.product(range(max_arity + 1), repeat=2):
+            homs[n, k] = hom = self.hom(n, k)
+            parts[n, k] = (np.array([[kv for kv, _ in h] for h in hom], dtype=np.int64),
+                           np.array([[rv for _, rv in h] for h in hom],
+                                    dtype=np.int64).reshape(len(hom), k, n))
+        for n, k, l in itertools.product(range(max_arity + 1), range(1, max_arity + 1),
+                                         range(max_arity + 1)):
+            comp = np.array([[[kv for kv, _ in self.compose(e1, e2, n)] for e2 in homs[l, n]]
+                             for e1 in homs[n, k]], dtype=np.int64)
+            (kap1, rho1), (kap2, rho2) = parts[n, k], parts[l, n]
+            same = lambda rho, a, b: (rho[a] == rho[b]).all((-2, -1))
+            # P(e1)(e2 - e2'): the R-matrix of e1 applied to a K-difference
+            matvec = lambda a, diff: functools.reduce(
+                lambda u, v: kadd[u, v], np.moveaxis(kact[rho1[a], diff[..., None, :]], -1, 0),
+                K.zero)
+            if first_violation((len(kap1), len(kap2), len(kap2)), [
+                ("left-subtraction", lambda a, b, c: ~same(rho2, b, c) | (
+                    kminus[comp[a, b], comp[a, c]] == matvec(a, kminus[kap2[b], kap2[c]])
+                ).all(-1)),
+            ]) or first_violation((len(kap1), len(kap1), len(kap2)), [
+                # the right action on differences is trivial: composition is
+                # affine in the outer K-part
+                ("right-subtraction", lambda a, b, c: ~same(rho1, a, b) | (
+                    kminus[comp[a, c], comp[b, c]] == kminus[kap1[a], kap1[b]]).all(-1)),
+            ]):
+                return False
         return True
-
-
-def _matvec_k(theory: TheoryWithConstants, row, diff):
-    K = theory.kmodule
-    acc = K.zero
-    for coeff, d in zip(row, diff):
-        acc = K.plus(acc, K.smul(coeff, d))
-    return acc

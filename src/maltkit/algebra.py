@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CloneBudgetExceeded, InvariantViolation, SignatureError
+from .laws import first_violation
 
 DEFAULT_CLONE_BUDGET = 200_000
 
@@ -169,12 +170,12 @@ def is_homomorphism(h: Homomorphism) -> bool:
     """Exhaustively check that h.map commutes with every shared operation."""
     if h.source.signature() != h.target.signature():
         raise SignatureError("source and target signatures differ")
+    hmap = np.asarray(h.map)
     for op in h.source.ops:
-        top = h.target.op(op.name)
-        for args in itertools.product(range(h.source.size), repeat=op.arity):
-            mapped = tuple(h.map[a] for a in args)
-            if h.map[h.source.apply(op, args)] != h.target.apply(top, mapped):
-                return False
+        src, tgt = h.source.op_array(op), h.target.op_array(op.name)
+        if first_violation((h.source.size,) * op.arity, [
+                (op.name, lambda *a: hmap[src[a]] == tgt[tuple(hmap[x] for x in a)])]):
+            return False
     return True
 
 

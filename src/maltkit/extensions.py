@@ -102,82 +102,81 @@ class CrextReport:
         }
 
 
+def _last_lifts(surjection, size):
+    """The largest preimage of each of range(size)."""
+    last = dict(zip(surjection, range(len(surjection))))
+    return np.array([last[v] for v in range(size)])
+
+
 def crext_check(ext: FormExtension) -> CrextReport:
     """Singular-extension test: the ring kernel must square to zero and
     annihilate the module kernel; on success the induced bimodule
     (B, K, delta = d' restricted, dot from the module action) is returned
-    with all its laws verified."""
+    with all its laws verified.  Well-definedness across lifts compares
+    the value at every lift with the value at the last lift."""
     S, R = ext.total.ring, ext.base.ring
     N, M = ext.total.module, ext.base.module
-    p, q = ext.ring_map, ext.module_map
-    bker = ext.ring_kernel()
-    kker = ext.module_kernel()
-    for b1 in bker:
-        for b2 in bker:
-            if S.mulv(b1, b2) != S.zero:
-                return CrextReport(
-                    False, "ring kernel does not square to zero", None, (b1, b2)
-                )
-    for b in bker:
-        for k in kker:
-            if N.smul(b, k) != N.zero:
-                return CrextReport(
-                    False, "ring kernel does not annihilate the module kernel",
-                    None, (b, k),
-                )
+    P, Q = np.asarray(ext.ring_map), np.asarray(ext.module_map)
+    sadd, smul = np.reshape(S.add, (S.size, S.size)), np.reshape(S.mul, (S.size, S.size))
+    nadd, nact = np.reshape(N.add, (N.size, N.size)), np.reshape(N.act, (S.size, N.size))
+    D = np.asarray(ext.total.d)
+    bk, kk = np.asarray(ext.ring_kernel()), np.asarray(ext.module_kernel())
+    lr, lm = _last_lifts(ext.ring_map, R.size), _last_lifts(ext.module_map, M.size)
+
+    def failure(sizes, witness, *laws):
+        hit = first_violation(sizes, laws)
+        if hit is not None:
+            law, at = hit
+            return CrextReport(False, law, None, tuple(int(v) for v in witness(*at)))
+
+    bad = failure((bk.size, bk.size), lambda i, j: (bk[i], bk[j]), (
+        "ring kernel does not square to zero",
+        lambda i, j: smul[bk[i], bk[j]] == S.zero,
+    )) or failure((bk.size, kk.size), lambda i, j: (bk[i], kk[j]), (
+        "ring kernel does not annihilate the module kernel",
+        lambda i, j: nact[bk[i], kk[j]] == N.zero,
+    ))
+    if bad:
+        return bad
     # induced structures, with well-definedness checked across lifts
-    bslot = {b: i for i, b in enumerate(bker)}
-    kslot = {k: i for i, k in enumerate(kker)}
-    lifts_r = {r: [s for s in range(S.size) if p[s] == r] for r in range(R.size)}
-    lifts_m = {m: [x for x in range(N.size) if q[x] == m] for m in range(M.size)}
-    badd = tuple(bslot[S.plus(a, b)] for a in bker for b in bker)
-    bgrp = AbelianGroup(len(bker), badd)
-    bleft = []
-    for r in range(R.size):
-        for b in bker:
-            vals = {S.mulv(s, b) for s in lifts_r[r]}
-            if len(vals) != 1:
-                return CrextReport(False, "left action ill-defined", None, (r, b))
-            bleft.append(bslot[vals.pop()])
-    bright = []
-    for b in bker:
-        for r in range(R.size):
-            vals = {S.mulv(b, s) for s in lifts_r[r]}
-            if len(vals) != 1:
-                return CrextReport(False, "right action ill-defined", None, (b, r))
-            bright.append(bslot[vals.pop()])
-    kadd = tuple(kslot[N.plus(a, b)] for a in kker for b in kker)
-    kact = []
-    for r in range(R.size):
-        for k in kker:
-            vals = {N.smul(s, k) for s in lifts_r[r]}
-            if len(vals) != 1:
-                return CrextReport(False, "kernel module action ill-defined", None, (r, k))
-            kact.append(kslot[vals.pop()])
+    bslot, kslot = np.full(S.size, -1), np.full(N.size, -1)
+    bslot[bk], kslot[kk] = np.arange(bk.size), np.arange(kk.size)
+    flat = lambda a: tuple(a.ravel().tolist())
+    bgrp = AbelianGroup(bk.size, flat(bslot[sadd[np.ix_(bk, bk)]]))
+    bad = failure((R.size, bk.size, S.size), lambda r, i, s: (r, bk[i]), (
+        "left action ill-defined",
+        lambda r, i, s: (P[s] != r) | (smul[s, bk[i]] == smul[lr[r], bk[i]]),
+    )) or failure((bk.size, R.size, S.size), lambda i, r, s: (bk[i], r), (
+        "right action ill-defined",
+        lambda i, r, s: (P[s] != r) | (smul[bk[i], s] == smul[bk[i], lr[r]]),
+    )) or failure((R.size, kk.size, S.size), lambda r, i, s: (r, kk[i]), (
+        "kernel module action ill-defined",
+        lambda r, i, s: (P[s] != r) | (nact[s, kk[i]] == nact[lr[r], kk[i]]),
+    ))
+    if bad:
+        return bad
     try:
-        kmod = LeftModule(ext.base.ring, len(kker), kadd, tuple(kact))
+        kmod = LeftModule(R, kk.size, flat(kslot[nadd[np.ix_(kk, kk)]]),
+                          flat(kslot[nact[lr[:, None], kk]]))
     except InvariantViolation as exc:
         return CrextReport(False, f"kernel module law fails: {exc}", None, None)
-    delta = []
-    for k in kker:
-        v = ext.total.d[k]
-        if v not in bslot:
-            return CrextReport(False, "delta leaves the ring kernel", None, (k,))
-        delta.append(bslot[v])
-    dot = []
-    for b in bker:
-        for m in range(M.size):
-            vals = {N.smul(b, x) for x in lifts_m[m]}
-            if len(vals) != 1:
-                return CrextReport(False, "pairing ill-defined", None, (b, m))
-            v = vals.pop()
-            if v not in kslot:
-                return CrextReport(False, "pairing leaves the module kernel", None, (b, m))
-            dot.append(kslot[v])
+    bad = failure((kk.size,), lambda i: (kk[i],), (
+        "delta leaves the ring kernel", lambda i: P[D[kk[i]]] == R.zero,
+    )) or failure((bk.size, M.size, N.size), lambda i, m, x: (bk[i], m), (
+        "pairing ill-defined",
+        lambda i, m, x: (Q[x] != m) | (nact[bk[i], x] == nact[bk[i], lm[m]]),
+    ), (
+        # at the last lift, so that a pairing that is also ill-defined fails first
+        "pairing leaves the module kernel",
+        lambda i, m, x: (x != lm[m]) | (Q[nact[bk[i], x]] == M.zero),
+    ))
+    if bad:
+        return bad
     try:
         bim = DBimodule(
-            ext.base, bgrp, tuple(bleft), tuple(bright), kmod,
-            tuple(delta), tuple(dot), name=ext.name or "induced",
+            ext.base, bgrp, flat(bslot[smul[lr[:, None], bk]]),
+            flat(bslot[smul[bk[:, None], lr]]), kmod, flat(bslot[D[kk]]),
+            flat(kslot[nact[bk[:, None], lm]]), name=ext.name or "induced",
         )
     except InvariantViolation as exc:
         return CrextReport(False, f"bimodule law fails: {exc}", None, None)

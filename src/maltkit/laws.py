@@ -18,7 +18,8 @@ Witness order is that of nested loops over v0, ..., v(k-1):
   first value of each missing variable, as a check placed before the inner
   loops would; its witness is its own j variables.
 
-A quantifier with an empty range has no tuples and therefore no violation.
+A quantifier with an empty range has no tuples and therefore no violation;
+with no quantifiers there is one tuple, ().
 
 The tuples are evaluated in chunks of consecutive tuples along the leading
 axes.  No index array, and no temporary of a ``holds`` built from lookups and
@@ -48,8 +49,10 @@ def _reads(holds, k):
 def first_violation(sizes, laws):
     """The first ``(law name, witness)`` in the order above, or None."""
     sizes = tuple(sizes)
-    if min(sizes) <= 0:
+    if min(sizes, default=1) <= 0:
         return None
+    if not sizes:
+        return next(((name, ()) for name, holds in laws if not np.all(holds())), None)
     k = len(sizes)
     laws = [(name, holds, _reads(holds, k)) for name, holds in laws]
     # Axes after `cut` are whole in every chunk, axis `cut` is split into

@@ -202,10 +202,10 @@ class MonoidExtension:
         require((N, N), [
             ("extension-proj-hom", lambda a, b: proj[tmul[a, b]] == bmul[proj[a], proj[b]]),
         ])
-        # position of each element in its fibre, for act
+        # the fibres, and the position of each element in its fibre, for act
+        fibres = tuple(np.flatnonzero(proj == b) for b in range(B))
         pos = np.zeros(N, dtype=np.int64)
-        for b in range(B):
-            fib = np.flatnonzero(proj == b)
+        for b, fib in enumerate(fibres):
             g = self.system.groups[b]
             if len(self.actions[b]) != g.size * fib.size:
                 raise InvariantViolation("extension-action-length", b)
@@ -228,9 +228,10 @@ class MonoidExtension:
                 law, (i, *ds) = hit
                 raise InvariantViolation(law, (b, *ds, int(fib[i])))
         object.__setattr__(self, "_pos", pos.tolist())
+        object.__setattr__(self, "_fibres", tuple(tuple(f.tolist()) for f in fibres))
 
     def fiber(self, b: int) -> tuple[int, ...]:
-        return tuple(e for e in range(self.total.size) if self.proj[e] == b)
+        return self._fibres[b]
 
     def act(self, b: int, d: int, e: int) -> int:
         if self.proj[e] != b:
@@ -311,62 +312,56 @@ class LinearExtReport:
         }
 
 
+def _padded(rows):
+    """Ragged integer rows as one array, padded with -1."""
+    out = np.full((len(rows), max(map(len, rows))), -1, dtype=np.int64)
+    for r, row in enumerate(rows):
+        out[r, :len(row)] = row
+    return out
+
+
 def _subtraction_tables(ext: MonoidExtension):
-    """sub[b][(e, e')] = the unique d with d + e' = e, or None if the fibre
-    action is not free and transitive."""
-    subs = []
-    for b in range(ext.base.size):
-        fib = ext.fiber(b)
+    """sub[e, e'] = the unique d with d + e' = e for e, e' in one fibre, -1
+    for e, e' in different fibres; None and (b, reason) if the action of
+    D_b is not free and transitive.  With |D_b| = |fibre| a free action is
+    transitive, so only freeness is tested."""
+    N = ext.total.size
+    sub = np.full((N, N), -1, dtype=np.int64)
+    for b, fib in enumerate(ext._fibres):
         g = ext.system.groups[b]
         if g.size != len(fib):
             return None, (b, "fibre size differs from group order")
-        table = {}
-        for d in range(g.size):
-            for i, e2 in enumerate(fib):
-                e1 = ext.actions[b][d * len(fib) + i]
-                if (e1, e2) in table:
-                    return None, (b, "action is not free")
-                table[(e1, e2)] = d
-        for e1 in fib:
-            for e2 in fib:
-                if (e1, e2) not in table:
-                    return None, (b, "action is not transitive")
-        subs.append(table)
-    return subs, None
+        table = np.reshape(ext.actions[b], (g.size, len(fib)))
+        sub[table, fib] = np.arange(g.size)[:, None]
+        if (sub[np.ix_(fib, fib)] < 0).any():
+            return None, (b, "action is not free")
+    return sub, None
 
 
 def check_linear_extension(ext: MonoidExtension) -> LinearExtReport:
-    """Free transitive fibre actions plus both subtraction identities."""
-    subs, bad = _subtraction_tables(ext)
-    if subs is None:
+    """Free transitive fibre actions plus both subtraction identities,
+    quantified over (e, b, i, j) with i, j positions in the fibre over b."""
+    sub, bad = _subtraction_tables(ext)
+    if sub is None:
         return LinearExtReport(False, bad[1], (bad[0],))
-    proj, total, base, sys_ = ext.proj, ext.total, ext.base, ext.system
-    for e1 in range(total.size):
-        b1 = proj[e1]
-        for b2 in range(base.size):
-            fib2 = ext.fiber(b2)
-            tgt = base.mulv(b1, b2)
-            for e2 in fib2:
-                for e2p in fib2:
-                    d = subs[b2][(e2, e2p)]
-                    lhs = subs[tgt][(total.mulv(e1, e2), total.mulv(e1, e2p))]
-                    if lhs != sys_.left[b1][b2][d]:
-                        return LinearExtReport(
-                            False, "left subtraction identity fails", (e1, e2, e2p)
-                        )
-    for e2 in range(total.size):
-        b2 = proj[e2]
-        for b1 in range(base.size):
-            fib1 = ext.fiber(b1)
-            tgt = base.mulv(b1, b2)
-            for e1 in fib1:
-                for e1p in fib1:
-                    d = subs[b1][(e1, e1p)]
-                    lhs = subs[tgt][(total.mulv(e1, e2), total.mulv(e1p, e2))]
-                    if lhs != sys_.right[b1][b2][d]:
-                        return LinearExtReport(
-                            False, "right subtraction identity fails", (e1, e1p, e2)
-                        )
+    N, B, sys_ = ext.total.size, ext.base.size, ext.system
+    P, F = np.asarray(ext.proj), _padded(ext._fibres)
+    tmul = np.reshape(ext.total.mul, (N, N))
+    left = _padded([m for row in sys_.left for m in row]).reshape(B, B, -1)
+    right = _padded([m for row in sys_.right for m in row]).reshape(B, B, -1)
+    outside = lambda b, i, j: (F[b, i] < 0) | (F[b, j] < 0)
+    for reason, holds, witness in (
+        ("left subtraction identity fails", lambda e1, b, i, j: outside(b, i, j) | (
+            sub[tmul[e1, F[b, i]], tmul[e1, F[b, j]]] == left[P[e1], b, sub[F[b, i], F[b, j]]]),
+         lambda e1, e2, e2p: (e1, e2, e2p)),
+        ("right subtraction identity fails", lambda e2, b, i, j: outside(b, i, j) | (
+            sub[tmul[F[b, i], e2], tmul[F[b, j], e2]] == right[b, P[e2], sub[F[b, i], F[b, j]]]),
+         lambda e2, e1, e1p: (e1, e1p, e2)),
+    ):
+        hit = first_violation((N, B, F.shape[1], F.shape[1]), [(reason, holds)])
+        if hit is not None:
+            e, b, i, j = hit[1]
+            return LinearExtReport(False, reason, witness(e, int(F[b, i]), int(F[b, j])))
     return LinearExtReport(True, "linear extension", None)
 
 
@@ -408,7 +403,7 @@ def check_untwisted(ext: MonoidExtension) -> UntwistedReport:
             raise SearchBudgetExceeded(
                 f"fibre size {g.size} exceeds the cap {UNTWISTED_FIBER_CAP}"
             )
-    subs, _ = _subtraction_tables(ext)
+    sub, _ = _subtraction_tables(ext)
     b0 = 0
     iso_choices = []
     for b in range(base.size):
@@ -423,19 +418,14 @@ def check_untwisted(ext: MonoidExtension) -> UntwistedReport:
         iso_choices.append(isos)
 
     def build_family(psi):
-        fam = {}
-        for f1 in range(total.size):
-            for f2 in range(total.size):
-                if proj[f1] != proj[f2]:
-                    continue
-                b = proj[f1]
-                d = subs[b][(f1, f2)]
-                # transport d along psi_b^-1 then psi_{b'}
-                d0 = psi[b].index(d)
-                for f in range(total.size):
-                    bp = proj[f]
-                    fam[(f1, f2, f)] = ext.act(bp, psi[bp][d0], f)
-        return fam
+        # transport f1 - f2 along psi_b^-1 then psi_{b'}
+        inverse = [np.argsort(p) for p in psi]
+        return {
+            (f1, f2, f): ext.act(proj[f], psi[proj[f]][inverse[proj[f1]][sub[f1, f2]]], f)
+            for f1 in range(total.size)
+            for f2 in ext.fiber(proj[f1])
+            for f in range(total.size)
+        }
 
     P = np.asarray(proj)
     tmul = np.reshape(total.mul, (total.size, total.size))

@@ -1,12 +1,20 @@
-"""Brute-force oracle for the law kernel of `maltkit.laws`.
+"""Brute-force oracle for the checks that run on the law kernel of `maltkit.laws`.
 
 Each function walks the identities of one structure in plain nested loops
 over itertools products, in the order the structure's laws are declared,
-and returns the first (law, witness) it meets, or None.  It reads the flat
-tables by index arithmetic and shares no code with the kernel it checks.
+and returns the first (law, witness) it meets, or None; the checks that
+report otherwise (linear extensions, singular extensions of forms, form
+isomorphisms, homomorphisms) keep the loops and the return values of the
+code they check.  The oracle reads the flat tables by index arithmetic and
+shares no code with the kernel, except that crext_report builds the induced
+group, module and bimodule through their constructors.
 """
 
 import itertools
+
+from maltkit.abgroup import AbelianGroup
+from maltkit.errors import InvariantViolation
+from maltkit.rings import DBimodule, LeftModule
 
 
 def _first(cases):
@@ -134,3 +142,140 @@ def congruence_violation(alg, labels):
                         if labels[a] == labels[b] and labels[t[a]] != labels[t[b]]:
                             return tuple(t), a, b
     return None
+
+
+def linear_extension_report(ext):
+    """(ok, reason, witness) of check_linear_extension: the subtraction table
+    of each fibre as a dict of pairs, then both identities in nested loops."""
+    total, base, proj, sys_ = ext.total, ext.base, ext.proj, ext.system
+    fibres = [tuple(e for e in range(total.size) if proj[e] == b) for b in range(base.size)]
+    subs = []
+    for b, fib in enumerate(fibres):
+        g = sys_.groups[b]
+        if g.size != len(fib):
+            return False, "fibre size differs from group order", (b,)
+        table = {}
+        for d in range(g.size):
+            for i, e2 in enumerate(fib):
+                e1 = ext.actions[b][d * len(fib) + i]
+                if (e1, e2) in table:
+                    return False, "action is not free", (b,)
+                table[(e1, e2)] = d
+        if any((e1, e2) not in table for e1 in fib for e2 in fib):
+            return False, "action is not transitive", (b,)
+        subs.append(table)
+    for e1 in range(total.size):
+        b1 = proj[e1]
+        for b2 in range(base.size):
+            tgt = base.mulv(b1, b2)
+            for e2, e2p in itertools.product(fibres[b2], repeat=2):
+                lhs = subs[tgt][(total.mulv(e1, e2), total.mulv(e1, e2p))]
+                if lhs != sys_.left[b1][b2][subs[b2][(e2, e2p)]]:
+                    return False, "left subtraction identity fails", (e1, e2, e2p)
+    for e2 in range(total.size):
+        b2 = proj[e2]
+        for b1 in range(base.size):
+            tgt = base.mulv(b1, b2)
+            for e1, e1p in itertools.product(fibres[b1], repeat=2):
+                lhs = subs[tgt][(total.mulv(e1, e2), total.mulv(e1p, e2))]
+                if lhs != sys_.right[b1][b2][subs[b1][(e1, e1p)]]:
+                    return False, "right subtraction identity fails", (e1, e1p, e2)
+    return True, "linear extension", None
+
+
+def form_isomorphism(f1, f2, isomorphisms):
+    """First (ring iso, module iso) intertwining the forms, trying the
+    additive isomorphisms in the order `isomorphisms` lists them."""
+    R1, R2, M1, M2 = f1.ring, f2.ring, f1.module, f2.module
+    for f in isomorphisms(R1.additive_group(), R2.additive_group()):
+        if f[R1.one] != R2.one:
+            continue
+        if any(f[R1.mulv(a, b)] != R2.mulv(f[a], f[b])
+               for a in range(R1.size) for b in range(R1.size)):
+            continue
+        for g in isomorphisms(M1.additive_group(), M2.additive_group()):
+            if any(g[M1.smul(r, x)] != M2.smul(f[r], g[x])
+                   for r in range(R1.size) for x in range(M1.size)):
+                continue
+            if all(f2.d[g[x]] == f[f1.d[x]] for x in range(M1.size)):
+                return f, g
+    return None
+
+
+def crext_report(ext):
+    """(ok, reason, witness, bimodule) of crext_check: the kernels, then
+    well-definedness across lifts by collecting value sets.  Raises, as the
+    former loops did, where a map is not a homomorphism and a value leaves
+    a kernel."""
+    S, R, N, M = ext.total.ring, ext.base.ring, ext.total.module, ext.base.module
+    p, q = ext.ring_map, ext.module_map
+    bker = [s for s in range(S.size) if p[s] == R.zero]
+    kker = [x for x in range(N.size) if q[x] == M.zero]
+    for b1, b2 in itertools.product(bker, repeat=2):
+        if S.mulv(b1, b2) != S.zero:
+            return False, "ring kernel does not square to zero", (b1, b2), None
+    for b, k in itertools.product(bker, kker):
+        if N.smul(b, k) != N.zero:
+            return False, "ring kernel does not annihilate the module kernel", (b, k), None
+    bslot = {b: i for i, b in enumerate(bker)}
+    kslot = {k: i for i, k in enumerate(kker)}
+    lifts_r = [[s for s in range(S.size) if p[s] == r] for r in range(R.size)]
+    lifts_m = [[x for x in range(N.size) if q[x] == m] for m in range(M.size)]
+    bgrp = AbelianGroup(len(bker), tuple(bslot[S.plus(a, b)] for a in bker for b in bker))
+
+    def induced(reason, cases, slot):
+        out = []
+        for witness, vals in cases:
+            if len(vals) != 1:
+                return (False, reason, witness, None), None
+            out.append(slot[vals.pop()])
+        return None, tuple(out)
+
+    bad, bleft = induced("left action ill-defined", [
+        ((r, b), {S.mulv(s, b) for s in lifts_r[r]}) for r in range(R.size) for b in bker], bslot)
+    if bad:
+        return bad
+    bad, bright = induced("right action ill-defined", [
+        ((b, r), {S.mulv(b, s) for s in lifts_r[r]}) for b in bker for r in range(R.size)], bslot)
+    if bad:
+        return bad
+    kadd = tuple(kslot[N.plus(a, b)] for a in kker for b in kker)
+    bad, kact = induced("kernel module action ill-defined", [
+        ((r, k), {N.smul(s, k) for s in lifts_r[r]}) for r in range(R.size) for k in kker], kslot)
+    if bad:
+        return bad
+    try:
+        kmod = LeftModule(R, len(kker), kadd, kact)
+    except InvariantViolation as exc:
+        return False, f"kernel module law fails: {exc}", None, None
+    for k in kker:
+        if ext.total.d[k] not in bslot:
+            return False, "delta leaves the ring kernel", (k,), None
+    dot = []
+    for b in bker:
+        for m in range(M.size):
+            vals = {N.smul(b, x) for x in lifts_m[m]}
+            if len(vals) != 1:
+                return False, "pairing ill-defined", (b, m), None
+            v = vals.pop()
+            if v not in kslot:
+                return False, "pairing leaves the module kernel", (b, m), None
+            dot.append(kslot[v])
+    delta = tuple(bslot[ext.total.d[k]] for k in kker)
+    try:
+        bim = DBimodule(ext.base, bgrp, bleft, bright, kmod, delta, tuple(dot),
+                        name=ext.name or "induced")
+    except InvariantViolation as exc:
+        return False, f"bimodule law fails: {exc}", None, None
+    return True, "singular extension", None, bim
+
+
+def is_homomorphism(h):
+    """h.map commutes with every operation, by looping over all arguments."""
+    for op in h.source.ops:
+        top = h.target.op(op.name)
+        for args in itertools.product(range(h.source.size), repeat=op.arity):
+            mapped = tuple(h.map[a] for a in args)
+            if h.map[h.source.apply(op, args)] != h.target.apply(top, mapped):
+                return False
+    return True

@@ -251,3 +251,29 @@ def test_theory_with_constants_identity_and_composition():
         assert th.compose(ident, u, 2) == u
     assert th.check_linear_extension_identities(max_arity=2)
     assert th.empty_model_allowed is False
+
+
+class _InnerConstantsIgnored(TheoryWithConstants):
+    """Composition that drops the K-parts of the inner morphism."""
+
+    def compose(self, outer, inner, n):
+        zeroed = tuple((self.kmodule.zero, rho) for _, rho in inner)
+        return super().compose(outer, zeroed, n)
+
+
+class _OuterConstantsDoubled(TheoryWithConstants):
+    """Composition that counts the K-parts of the outer morphism twice."""
+
+    def compose(self, outer, inner, n):
+        K = self.kmodule
+        return tuple((K.plus(kappa, k0), rho) for (kappa, rho), (k0, _)
+                     in zip(super().compose(outer, inner, n), outer))
+
+
+def test_theory_with_constants_detects_broken_composition():
+    """Each subtraction identity catches a composition that breaks it alone."""
+    r3 = cyclic_ring(3)
+    k3 = module_over_self(r3)
+    assert TheoryWithConstants(r3, k3).check_linear_extension_identities(max_arity=1)
+    assert not _InnerConstantsIgnored(r3, k3).check_linear_extension_identities(max_arity=1)
+    assert not _OuterConstantsDoubled(r3, k3).check_linear_extension_identities(max_arity=1)

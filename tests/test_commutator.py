@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maltkit.algebra import FiniteAlgebra, Operation, TermOp, product
 from maltkit.catalog import (
@@ -8,6 +9,7 @@ from maltkit.catalog import (
     dihedral_group,
     group_corpus,
     group_maltsev_term,
+    klein_four,
     maltsev_corpus,
     quaternion_group,
     symmetric_group_3,
@@ -22,7 +24,7 @@ from maltkit.commutator import (
     nilpotence_class,
     upper_series,
 )
-from maltkit.congruence import Congruence, all_congruences, cg, join, meet
+from maltkit.congruence import Congruence, all_congruences, cg, join, meet, quotient
 from maltkit.errors import NotMaltsev
 
 from group_oracle import GroupTable
@@ -191,8 +193,9 @@ def test_upper_equals_lower_class_everywhere():
 
 def _group_agreement(alg, p, mul, inv, series=True):
     oracle = GroupTable(alg, mul, inv)
-    for n1 in oracle.normal_subgroups():
-        for n2 in oracle.normal_subgroups():
+    normals = oracle.normal_subgroups()
+    for n1 in normals:
+        for n2 in normals:
             r = Congruence(alg.size, oracle.congruence_blocks(n1))
             s = Congruence(alg.size, oracle.congruence_blocks(n2))
             got = commutator(alg, r, s, p)
@@ -223,6 +226,31 @@ def _s3_times_z2():
 
 @pytest.mark.parametrize("alg", [dihedral_group(8), _s3_times_z2()], ids=["D8", "S3xZ2"])
 def test_group_oracle_agreement_order_16_and_12(alg):
+    _group_agreement(alg, group_maltsev_term(alg), "mul", "inv")
+
+
+def _renamed(alg):
+    """A group with operations plus, neg, zero as one with mul, inv, e."""
+    return FiniteAlgebra(alg.size, tuple(
+        Operation(name, op.arity, op.table) for name, op in zip(("mul", "inv", "e"), alg.ops)))
+
+
+SMALL_GROUPS = [_renamed(cyclic_group(n)) for n in range(2, 9)] + [
+    _renamed(klein_four()), dihedral_group(4), quaternion_group(), symmetric_group_3()]
+SMALL_PRODUCTS = [(g, h) for g, h in itertools.combinations_with_replacement(SMALL_GROUPS, 2)
+                  if g.size * h.size <= 16]
+
+
+@given(st.data())
+@settings(max_examples=6, deadline=None)
+def test_group_oracle_agreement_on_products_and_quotients(data):
+    """Products of two catalog groups of order <= 16, optionally divided by a
+    normal subgroup, against the group oracle."""
+    alg = product(data.draw(st.sampled_from(SMALL_PRODUCTS)))
+    if data.draw(st.booleans()):
+        oracle = GroupTable(alg, "mul", "inv")
+        normal = data.draw(st.sampled_from(sorted(oracle.normal_subgroups(), key=sorted)))
+        alg, _ = quotient(alg, Congruence(alg.size, oracle.congruence_blocks(normal)))
     _group_agreement(alg, group_maltsev_term(alg), "mul", "inv")
 
 

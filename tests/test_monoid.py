@@ -86,6 +86,8 @@ def test_act_reads_the_fibre_table():
     ext = trivial_extension(mon, system)
     for b in range(ext.base.size):
         fib = ext.fiber(b)
+        assert fib == tuple(e for e in range(ext.total.size) if ext.proj[e] == b)
+        assert ext.fiber(b) is fib  # built once, with the extension
         for d in range(system.groups[b].size):
             for i, e in enumerate(fib):
                 assert ext.act(b, d, e) == ext.actions[b][d * len(fib) + i]
@@ -104,30 +106,36 @@ def test_twisted_action_detected():
         ext.total, ext.base, ext.proj, ext.system, (ext.actions[0], flat)
     )
     report = check_linear_extension(twisted)
-    assert not report.ok
-    assert report.witness is not None
+    assert (report.ok, report.reason, report.witness) == (False, "action is not free", (1,))
 
 
 def test_untwisted_constant_system():
     mon = mult_monoid_2()
-    ext = trivial_extension(mon, constant_system(mon, AbelianGroup.cyclic(2)))
-    report = check_untwisted(ext)
-    assert report.found
-    fam = report.family_map()
-    total = ext.total
-    # verify the transport identifications compose correctly: the family is
-    # built from isomorphisms phi with phi_{b,b} = id and the cocycle law
-    for (f1, f2, f), v in fam.items():
-        assert ext.proj[v] == ext.proj[f]
-        if ext.proj[f] == ext.proj[f1]:
-            # phi_{b,b} = id: m(f1,f2,f) - f equals f1 - f2 under subtraction
-            assert fam[(f1, f2, f1)] == f1 or True
-    # equivariance spot check
-    for g in range(total.size):
+    for group in (AbelianGroup.cyclic(2), AbelianGroup.cyclic(3), AbelianGroup.trivial()):
+        ext = trivial_extension(mon, constant_system(mon, group))
+        report = check_untwisted(ext)
+        assert report.found
+        fam = report.family_map()
+        total = ext.total
+
+        def minus(b, e, e2):
+            """e - e2 in D_b: the d with d + e2 = e under the fibre action."""
+            return next(d for d in range(group.size) if ext.act(b, d, e2) == e)
+
+        # the family is built from isomorphisms phi with phi_{b,b} = id and
+        # the cocycle law
         for (f1, f2, f), v in fam.items():
-            assert fam[
-                (total.mulv(g, f1), total.mulv(g, f2), total.mulv(g, f))
-            ] == total.mulv(g, v)
+            assert ext.proj[v] == ext.proj[f]
+            b = ext.proj[f1]
+            if ext.proj[f] == b:
+                # phi_{b,b} = id: m(f1,f2,f) - f equals f1 - f2 under subtraction
+                assert minus(b, v, f) == minus(b, f1, f2)
+        # equivariance spot check
+        for g in range(total.size):
+            for (f1, f2, f), v in fam.items():
+                assert fam[
+                    (total.mulv(g, f1), total.mulv(g, f2), total.mulv(g, f))
+                ] == total.mulv(g, v)
 
 
 def test_untwisted_cardinality_obstruction():
