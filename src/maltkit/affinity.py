@@ -564,12 +564,11 @@ class TheoryWithConstants:
             for j in range(n)
         )
 
-    def compose(self, outer, inner, n: int):
+    def compose(self, outer, inner, n: int, l: int):
         """outer: X^n -> X^k after inner: X^l -> X^n (n = middle arity)."""
         K, R = self.kmodule, self.ring
         if len(inner) != n:
             raise ArityError("middle arity mismatch")
-        l = len(inner[0][1]) if inner else 0
         out = []
         for kappa, rho in outer:
             if len(rho) != n:
@@ -611,7 +610,7 @@ class TheoryWithConstants:
                                     dtype=np.int64).reshape(len(hom), k, n))
         for n, k, l in itertools.product(range(max_arity + 1), range(1, max_arity + 1),
                                          range(max_arity + 1)):
-            comp = np.array([[[kv for kv, _ in self.compose(e1, e2, n)] for e2 in homs[l, n]]
+            comp = np.array([[[kv for kv, _ in self.compose(e1, e2, n, l)] for e2 in homs[l, n]]
                              for e1 in homs[n, k]], dtype=np.int64)
             (kap1, rho1), (kap2, rho2) = parts[n, k], parts[l, n]
             same = lambda rho, a, b: (rho[a] == rho[b]).all((-2, -1))

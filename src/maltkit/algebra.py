@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CloneBudgetExceeded, InvariantViolation, SignatureError
-from .laws import first_violation
+from . import laws
 
 DEFAULT_CLONE_BUDGET = 200_000
 
@@ -173,7 +173,7 @@ def is_homomorphism(h: Homomorphism) -> bool:
     hmap = np.asarray(h.map)
     for op in h.source.ops:
         src, tgt = h.source.op_array(op), h.target.op_array(op.name)
-        if first_violation((h.source.size,) * op.arity, [
+        if laws.first_violation((h.source.size,) * op.arity, [
                 (op.name, lambda *a: hmap[src[a]] == tgt[tuple(hmap[x] for x in a)])]):
             return False
     return True
@@ -274,8 +274,15 @@ def iter_term_ops(alg: FiniteAlgebra, arity: int, budget: int = DEFAULT_CLONE_BU
     order, then argument tuples lexicographically by discovery index, so
     the sequence (and any witness picked from it) is reproducible.
     Generators are the projections; nullary operations contribute constant
-    functions in the first closure round.  Raises CloneBudgetExceeded if
-    more than `budget` distinct operations appear.
+    functions in the first closure round.  Raises CloneBudgetExceeded, with
+    the round reached and the argument tuples tried, if more than `budget`
+    distinct operations appear.
+
+    A round tries the tuples with an argument from the previous round.  A
+    table's round never decreases with its index, so these are the tuples
+    whose largest index is at least the first index of that round.  Each
+    prefix of a tuple meets its last arguments in runs of at most laws.CHUNK
+    entries (or one table), so memory stays bounded whatever the clone.
     """
     if arity < 0:
         raise InvariantViolation("clone-arity-nonnegative", arity)
@@ -289,63 +296,74 @@ def iter_term_ops(alg: FiniteAlgebra, arity: int, budget: int = DEFAULT_CLONE_BU
             yield TermOp(arity, (), ("var", 0))
         return
 
-    idx = np.arange(length, dtype=np.int64)
-    tables: list[np.ndarray] = []
-    rounds: list[int] = []
+    dtype = np.min_scalar_type(n - 1)
+    tables = np.empty((16, length), dtype)
     witnesses: list[tuple] = []
     seen: dict[bytes, int] = {}
+    # Rows are looked up by their values at the coordinates X, widened until
+    # they separate the stored tables or n**len(X) would pass 2**62.
+    X, keys, order = np.zeros(1, np.intp), (), ()
+    width = 62 // max(1, (n - 1).bit_length())
+    code = lambda rows: rows[:, X] @ n ** np.arange(len(X))
+    rnd = tried = 0
 
-    def emit(arr: np.ndarray, witness: tuple, rnd: int):
-        key = arr.tobytes()
+    def emit(row, head, args, tries):
+        nonlocal tables
+        key = row.tobytes()
         if key in seen:
-            return None
-        if len(tables) >= budget:
-            raise CloneBudgetExceeded(
-                f"clone budget {budget} exceeded at arity {arity}", count=len(tables)
-            )
-        seen[key] = len(tables)
-        tables.append(arr)
-        rounds.append(rnd)
-        witnesses.append(witness)
-        return TermOp(arity, tuple(int(v) for v in arr), witness)
+            return ()
+        k = len(witnesses)
+        if k >= budget:
+            raise CloneBudgetExceeded(f"clone budget {budget} exceeded at arity {arity}",
+                                      count=k, round=rnd, combos_tried=tries)
+        if k == len(tables):
+            tables = np.concatenate([tables, tables])
+        tables[k], seen[key] = row, k
+        witnesses.append(head + tuple(witnesses[c] for c in args))
+        return (TermOp(arity, tuple(row.tolist()), witnesses[-1]),)
 
+    def known(cand):
+        """Which rows of cand equal a stored table."""
+        nonlocal X, keys, order
+        k = len(witnesses)
+        while len(keys) != k:
+            codes = code(tables[:k])
+            order = np.argsort(codes)
+            keys = codes[order]
+            clash = np.flatnonzero(keys[1:] == keys[:-1])
+            diff = (tables[order[clash]] != tables[order[clash + 1]]).argmax(axis=1)
+            wider = np.unique(np.concatenate([X, diff]))[:width]
+            if len(wider) > len(X):
+                X, keys = wider, ()
+        hit = order[np.minimum(np.searchsorted(keys, code(cand)), k - 1)]
+        return (cand == tables[hit]).all(axis=1)
+
+    idx = np.arange(length)
     for i in range(arity):
-        proj = (idx // (n ** (arity - 1 - i))) % n
-        t = emit(proj, ("var", i), 0)
-        if t is not None:
-            yield t
-
-    op_arrays = [(op, alg.op_array(op)) for op in alg.ops]
-    rnd = 0
+        yield from emit(((idx // n ** (arity - 1 - i)) % n).astype(dtype), ("var", i), (), 0)
+    ops = [(op, np.asarray(op.table, dtype)) for op in alg.ops]
+    rows = max(1, laws.CHUNK // length)
+    prev = 0  # first index of the previous round
     while True:
         rnd += 1
-        snapshot = len(tables)
-        produced = False
-        for op, arr in op_arrays:
+        snapshot = len(witnesses)
+        for op, flat in ops:
             if op.arity == 0:
                 if rnd == 1:
-                    const = np.full(length, op.table[0], dtype=np.int64)
-                    t = emit(const, (op.name,), rnd)
-                    if t is not None:
-                        yield t
-                        produced = True
+                    tried += 1
+                    yield from emit(np.full(length, flat[0]), (op.name,), (), tried)
                 continue
-            for combo in itertools.product(range(snapshot), repeat=op.arity):
-                # depth-stratified: at least one argument from the previous round
-                if snapshot and max(rounds[i] for i in combo) != rnd - 1:
-                    continue
-                if op.arity == 1:
-                    new = arr[tables[combo[0]]]
-                elif op.arity == 2:
-                    new = arr[tables[combo[0]], tables[combo[1]]]
-                else:
-                    new = arr[tuple(tables[i] for i in combo)]
-                t = emit(new, (op.name, *(witnesses[i] for i in combo)), rnd)
-                if t is not None:
-                    yield t
-                    produced = True
-        if not produced:
+            for prefix in itertools.product(range(snapshot), repeat=op.arity - 1):
+                base = n ** np.arange(op.arity - 1, 0, -1) @ tables[list(prefix)]
+                lo = 0 if prefix and max(prefix) >= prev else prev
+                for start in range(lo, snapshot, rows):
+                    cand = np.take(flat, base + tables[start:min(start + rows, snapshot)])
+                    for j in np.flatnonzero(~known(cand)).tolist():
+                        yield from emit(cand[j], (op.name,), (*prefix, start + j), tried + j + 1)
+                    tried += len(cand)
+        if len(witnesses) == snapshot:
             return
+        prev = snapshot
 
 
 def term_clone(

@@ -191,7 +191,7 @@ def _dispatch(args) -> int:
         term = find_maltsev_term(alg, args.budget)
         payload = {
             "found": term is not None,
-            "complete": True,
+            "complete": term is None,
             "term": term.term_str() if term else None,
             "table": list(term.table) if term else None,
         }

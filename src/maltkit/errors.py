@@ -70,10 +70,12 @@ class CounterexampleBroken(MaltkitError):
 
 
 class BudgetError(MaltkitError):
-    """Base class for budget exhaustion (CLI exit code 2)."""
+    """Base class for budget exhaustion (CLI exit code 2).  A clone budget
+    error also tells the closure round it reached and the argument tuples
+    it tried."""
 
-    def __init__(self, message, count=None):
-        self.count = count
+    def __init__(self, message, count=None, round=None, combos_tried=None):
+        self.count, self.round, self.combos_tried = count, round, combos_tried
         super().__init__(message)
 
 

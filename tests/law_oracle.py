@@ -7,13 +7,17 @@ report otherwise (linear extensions, singular extensions of forms, form
 isomorphisms, homomorphisms) keep the loops and the return values of the
 code they check.  The oracle reads the flat tables by index arithmetic and
 shares no code with the kernel, except that crext_report builds the induced
-group, module and bimodule through their constructors.
+group, module and bimodule through their constructors.  term_ops is the
+one-tuple-at-a-time clone enumeration that the batched
+`algebra.iter_term_ops` replaced.
 """
 
 import itertools
 
+import numpy as np
+
 from maltkit.abgroup import AbelianGroup
-from maltkit.errors import InvariantViolation
+from maltkit.errors import CloneBudgetExceeded, InvariantViolation
 from maltkit.rings import DBimodule, LeftModule
 
 
@@ -279,3 +283,62 @@ def is_homomorphism(h):
             if h.map[h.source.apply(op, args)] != h.target.apply(top, mapped):
                 return False
     return True
+
+
+def term_ops(alg, arity, budget):
+    """Yield (table, witness) of the term operations of the given arity, one
+    argument tuple at a time: every tuple of stored tables is tried and kept
+    only if one argument comes from the previous round.  Raises
+    CloneBudgetExceeded at the first new table past the budget, with the
+    round and the number of argument tuples (and constants) evaluated."""
+    n = alg.size
+    length = n**arity
+    if n == 0:
+        if arity > 0:
+            yield (), ("var", 0)
+        return
+    idx = np.arange(length, dtype=np.int64)
+    tables, rounds, witnesses, seen = [], [], [], set()
+    rnd = tried = 0
+
+    def emit(arr, witness):
+        key = arr.tobytes()
+        if key in seen:
+            return None
+        if len(tables) >= budget:
+            raise CloneBudgetExceeded("budget", count=len(tables), round=rnd, combos_tried=tried)
+        seen.add(key)
+        tables.append(arr)
+        rounds.append(rnd)
+        witnesses.append(witness)
+        return tuple(int(v) for v in arr), witness
+
+    for i in range(arity):
+        t = emit((idx // (n ** (arity - 1 - i))) % n, ("var", i))
+        if t is not None:
+            yield t
+    while True:
+        rnd += 1
+        snapshot = len(tables)
+        produced = False
+        for op in alg.ops:
+            arr = alg.op_array(op)
+            if op.arity == 0:
+                if rnd == 1:
+                    tried += 1
+                    t = emit(np.full(length, op.table[0], dtype=np.int64), (op.name,))
+                    if t is not None:
+                        yield t
+                        produced = True
+                continue
+            for combo in itertools.product(range(snapshot), repeat=op.arity):
+                if max(rounds[i] for i in combo) != rnd - 1:
+                    continue
+                tried += 1
+                new = arr[tuple(tables[i] for i in combo)]
+                t = emit(new, (op.name, *(witnesses[i] for i in combo)))
+                if t is not None:
+                    yield t
+                    produced = True
+        if not produced:
+            return

@@ -247,27 +247,39 @@ def test_theory_with_constants_identity_and_composition():
     ident = th.identity(2)
     assert ident == ((0, (1, 0)), (0, (0, 1)))
     for u in th.hom(2, 2):
-        assert th.compose(u, ident, 2) == u
-        assert th.compose(ident, u, 2) == u
+        assert th.compose(u, ident, 2, 2) == u
+        assert th.compose(ident, u, 2, 2) == u
     assert th.check_linear_extension_identities(max_arity=2)
     assert th.empty_model_allowed is False
+
+
+def test_theory_with_constants_composite_through_arity_zero():
+    """X^l -> X^0 -> X^k is a constant morphism of hom(l, k), also for l > 0."""
+    r2 = cyclic_ring(2)
+    th = TheoryWithConstants(r2, module_over_self(r2))
+    for l, k in [(1, 1), (2, 1), (2, 2)]:
+        homs = set(th.hom(l, k))
+        for outer in th.hom(0, k):
+            composite = th.compose(outer, (), 0, l)
+            assert composite in homs
+            assert composite == tuple((kappa, (0,) * l) for kappa, _ in outer)
 
 
 class _InnerConstantsIgnored(TheoryWithConstants):
     """Composition that drops the K-parts of the inner morphism."""
 
-    def compose(self, outer, inner, n):
+    def compose(self, outer, inner, n, l):
         zeroed = tuple((self.kmodule.zero, rho) for _, rho in inner)
-        return super().compose(outer, zeroed, n)
+        return super().compose(outer, zeroed, n, l)
 
 
 class _OuterConstantsDoubled(TheoryWithConstants):
     """Composition that counts the K-parts of the outer morphism twice."""
 
-    def compose(self, outer, inner, n):
+    def compose(self, outer, inner, n, l):
         K = self.kmodule
         return tuple((K.plus(kappa, k0), rho) for (kappa, rho), (k0, _)
-                     in zip(super().compose(outer, inner, n), outer))
+                     in zip(super().compose(outer, inner, n, l), outer))
 
 
 def test_theory_with_constants_detects_broken_composition():

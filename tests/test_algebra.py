@@ -1,8 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import law_oracle
+from maltkit import laws
 from maltkit.algebra import (
     FiniteAlgebra,
     Homomorphism,
@@ -10,6 +13,7 @@ from maltkit.algebra import (
     eval_term,
     index_tuple,
     is_homomorphism,
+    iter_term_ops,
     mixed_index,
     mixed_unindex,
     product,
@@ -17,8 +21,9 @@ from maltkit.algebra import (
     term_clone,
     tuple_index,
 )
-from maltkit.catalog import cyclic_group
+from maltkit.catalog import cyclic_group, maltsev_corpus
 from maltkit.errors import CloneBudgetExceeded, InvariantViolation, SignatureError
+from maltkit.maltsev import find_maltsev_term, is_maltsev_table
 
 
 def brute_closure(alg, generators):
@@ -161,6 +166,87 @@ def test_term_clone_always_contains_identity(z4):
 def test_term_clone_budget(z4):
     with pytest.raises(CloneBudgetExceeded):
         term_clone(z4, 2, budget=3)
+
+
+def test_clone_budget_reports_progress(z4):
+    """x1, x2 and plus(x1, x1) fit the budget; plus(x1, x2), the second
+    argument tuple of round 1, is the fourth table."""
+    with pytest.raises(CloneBudgetExceeded) as exc:
+        term_clone(z4, 2, budget=3)
+    assert (exc.value.count, exc.value.round, exc.value.combos_tried) == (3, 1, 2)
+    assert str(exc.value) == "clone budget 3 exceeded at arity 2"
+
+
+def sequence(term_ops):
+    """The (table, witness) pairs of a clone enumeration, then the count,
+    round and argument tuples tried of a budget error if one ends it."""
+    out = []
+    try:
+        for t in term_ops:
+            out.append((t.table, t.witness) if hasattr(t, "table") else t)
+    except CloneBudgetExceeded as exc:
+        out.append(("budget", exc.count, exc.round, exc.combos_tried))
+    return out
+
+
+@st.composite
+def small_algebras(draw):
+    """At most four elements; a nullary, unary, binary or ternary operation
+    each, possibly several of one arity."""
+    n = draw(st.integers(1, 4))
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    return FiniteAlgebra(n, tuple(
+        Operation(f"f{i}", a, tuple(draw(st.lists(st.integers(0, n - 1), min_size=n**a,
+                                                   max_size=n**a))))
+        for i, a in enumerate(arities)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_algebras(), st.integers(0, 3), st.integers(1, 40))
+def test_iter_term_ops_matches_oracle(alg, arity, budget):
+    assert sequence(iter_term_ops(alg, arity, budget)) == sequence(
+        law_oracle.term_ops(alg, arity, budget))
+
+
+def test_iter_term_ops_matches_oracle_on_split_batches(monkeypatch):
+    """Runs of two and three last arguments, so that a run ends inside the
+    arguments of one prefix and budget errors fall between runs."""
+    s3 = next(alg for alg, _ in maltsev_corpus() if alg.name == "S3")
+    groupoid = FiniteAlgebra(3, (Operation("f", 2, (0, 2, 2, 0, 1, 2, 1, 2, 2)),))
+    for chunk, alg, arity, budget in [(20, groupoid, 2, 500), (80, groupoid, 3, 150),
+                                      (100, s3, 2, 400), (3 * 216, s3, 3, 120)]:
+        monkeypatch.setattr(laws, "CHUNK", chunk)
+        assert sequence(iter_term_ops(alg, arity, budget)) == sequence(
+            law_oracle.term_ops(alg, arity, budget))
+
+
+def first_maltsev(term_ops, n):
+    try:
+        return next(((t[0], t[1]) for t in term_ops if is_maltsev_table(t[0], n)), None)
+    except CloneBudgetExceeded as exc:
+        return "budget", exc.count, exc.round, exc.combos_tried
+
+
+def test_find_maltsev_term_stops_where_the_oracle_does():
+    """Latin squares, random 3-element groupoids, the stalling groupoid of
+    the term-search benchmark and the catalog corpus: the first Maltsev
+    member or the budget error, in the oracle's order."""
+    stream = random.Random(20020304)
+    algs = [FiniteAlgebra(3, (Operation("f", 2, tuple(stream.randrange(3) for _ in range(9))),))
+            for _ in range(6)]
+    algs.append(FiniteAlgebra(3, (Operation("f", 2, (0, 2, 2, 0, 1, 2, 1, 2, 2)),)))
+    for n in (3, 4, 5):
+        a, b, c = (stream.sample(range(n), n) for _ in range(3))
+        algs.append(FiniteAlgebra(n, (Operation(
+            "f", 2, tuple(c[(a[x] + b[y]) % n] for x in range(n) for y in range(n))),)))
+    algs += [alg for alg, _ in maltsev_corpus()]
+    for alg in algs:
+        try:
+            found = find_maltsev_term(alg, 150)
+            found = found and (found.table, found.witness)
+        except CloneBudgetExceeded as exc:
+            found = "budget", exc.count, exc.round, exc.combos_tried
+        assert found == first_maltsev(law_oracle.term_ops(alg, 3, 150), alg.size)
 
 
 def test_term_clone_closed_under_composition(z4):
