@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, Operation, TermOp, term_clone, tuple_index
+from .algebra import FiniteAlgebra, Operation, TermOp, term_clone
 from .algebra import DEFAULT_CLONE_BUDGET
 from .abgroup import AbelianGroup, isomorphisms
 from .commutator import is_abelian
@@ -366,89 +366,32 @@ def abelianize(
 
     unary = term_clone(alg, 1, budget)
     binary = term_clone(alg, 2, budget)
-    unary_idx = {t.table: i for i, t in enumerate(unary)}
-    ring_terms = tuple(
-        t for t in binary if all(t.table[tuple_index(n, (a, a))] == a for a in range(n))
-    )
-    ring_idx = {t.table: i for i, t in enumerate(ring_terms)}
+    ring_terms = tuple(t for t in binary if all(t.table[x * (n + 1)] == x for x in range(n)))
+    U, B = np.array([t.table for t in unary]), np.array([t.table for t in ring_terms])
+    M = np.asarray(m.table).reshape(n, n, n)
+    a, b = np.divmod(np.arange(n * n), n)
 
-    def mval(x, y, z):
-        return m.table[tuple_index(n, (x, y, z))]
+    def slots(rows, clone, kind):
+        """The index in clone of each table in the stack rows."""
+        index = {row.tobytes(): i for i, row in enumerate(clone)}
+        out = [index.get(row.tobytes(), -1) for row in rows.reshape(-1, clone.shape[1])]
+        if -1 in out:
+            raise InternalError(f"{kind} clone not closed under the derived laws")
+        return out
 
-    def unary_slot(table):
-        i = unary_idx.get(tuple(table))
-        if i is None:
-            raise InternalError("unary clone not closed under the derived laws")
-        return i
-
-    def ring_slot(table):
-        i = ring_idx.get(tuple(table))
-        if i is None:
-            raise InternalError("convex binary clone not closed under the derived laws")
-        return i
-
-    ident = tuple(range(n))
-    first = tuple(a for a, _ in itertools.product(range(n), repeat=2))
-    second = tuple(b for _, b in itertools.product(range(n), repeat=2))
-
-    m_add = []
-    for x in unary:
-        for y in unary:
-            m_add.append(
-                unary_slot(mval(x.table[a], a, y.table[a]) for a in range(n))
-            )
-    r_add = []
-    r_mul = []
-    for r in ring_terms:
-        for s in ring_terms:
-            r_add.append(
-                ring_slot(
-                    mval(
-                        r.table[tuple_index(n, (a, b))],
-                        a,
-                        s.table[tuple_index(n, (a, b))],
-                    )
-                    for a, b in itertools.product(range(n), repeat=2)
-                )
-            )
-            r_mul.append(
-                ring_slot(
-                    r.table[
-                        tuple_index(n, (a, s.table[tuple_index(n, (a, b))]))
-                    ]
-                    for a, b in itertools.product(range(n), repeat=2)
-                )
-            )
-    act = []
-    for r in ring_terms:
-        for x in unary:
-            act.append(
-                unary_slot(
-                    r.table[tuple_index(n, (a, x.table[a]))] for a in range(n)
-                )
-            )
-    dvals = []
-    for x in unary:
-        dvals.append(
-            ring_slot(
-                mval(x.table[a], x.table[b], b)
-                for a, b in itertools.product(range(n), repeat=2)
-            )
-        )
-
+    m_add = slots(M[U[:, None], np.arange(n), U], U, "unary")
+    r_add = slots(M[B[:, None], a, B], B, "convex binary")
+    r_mul = slots(B[np.arange(len(B))[:, None, None], a * n + B], B, "convex binary")
+    act = slots(B[:, np.arange(n) * n + U], U, "unary")
+    dvals = slots(M[U[:, a], U[:, b], b], B, "convex binary")
+    zero, one = slots(np.stack([a, b]), B, "convex binary")
     try:
-        ring = FiniteRing(
-            len(ring_terms),
-            tuple(r_add),
-            tuple(r_mul),
-            ring_slot(first),
-            ring_slot(second),
-        )
+        ring = FiniteRing(len(ring_terms), tuple(r_add), tuple(r_mul), zero, one)
         module = LeftModule(ring, len(unary), tuple(m_add), tuple(act))
         form = LinearForm(module, tuple(dvals))
     except InvariantViolation as exc:
         raise NotAbelian(f"derived structure fails a law: {exc}") from exc
-    if module.zero != unary_slot(ident):
+    if module.zero != slots(np.arange(n), U, "unary")[0]:
         raise InternalError("identity term is not the module zero")
     return Abelianization(form, unary, ring_terms)
 

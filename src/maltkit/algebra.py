@@ -23,6 +23,7 @@ from .errors import CloneBudgetExceeded, InvariantViolation, SignatureError
 from . import laws
 
 DEFAULT_CLONE_BUDGET = 200_000
+CODE_BITS = 62  # the clone engine looks tables up by integer codes below 2**CODE_BITS
 
 
 def tuple_index(size: int, args) -> int:
@@ -267,6 +268,144 @@ def eval_term(alg: FiniteAlgebra, term, args) -> int:
     return alg.apply(op, tuple(eval_term(alg, t, args) for t in term[1:]))
 
 
+def _term_blocks(alg: FiniteAlgebra, arity: int, budget: int):
+    """The clone engine behind iter_term_ops and the Maltsev search.
+
+    Yields blocks (rows, term): rows is an array of the next distinct new
+    tables in generation order, term(i) the TermOp of rows[i].  The new rows
+    of a run of candidates are found, deduplicated and stored with array
+    operations; a stored table keeps only its parents (head, argument
+    indices), and its witness term is expanded when term() asks for it.  If
+    a run holds more new tables than the budget allows, the block of those
+    that fit comes first and CloneBudgetExceeded is raised on the next step.
+    """
+    if arity < 0:
+        raise InvariantViolation("clone-arity-nonnegative", arity)
+    if budget <= 0:
+        raise InvariantViolation("clone-budget-positive", budget)
+    n = alg.size
+    length = n**arity
+    if n == 0:
+        # Only the empty function exists; nullary ops cannot occur on size 0.
+        if arity > 0:
+            yield np.zeros((1, 0), np.uint8), lambda i: TermOp(arity, (), ("var", 0))
+        return
+
+    dtype = np.min_scalar_type(n - 1)
+    ops = [(op, np.asarray(op.table, dtype)) for op in alg.ops]
+    tables = np.empty((16, length), dtype)
+    heads = np.empty(16, np.intp)  # -1 for a projection, else the index of the operation
+    args = np.empty((16, max([op.arity for op in alg.ops] + [1])), np.intp)
+    k = 0
+    # Rows are looked up by their code at the coordinates X in keys, the
+    # sorted codes of the stored tables (order holds their indices).  When a
+    # whole row fits a code, X is every coordinate and the code is the row.
+    # Otherwise X is widened while two stored tables share a code and
+    # n**len(X) stays within 2**CODE_BITS, and every hit is confirmed on the
+    # full row; tables with equal codes sit next to each other in keys.
+    width = CODE_BITS // max(1, (n - 1).bit_length())
+    exact = length <= width
+    X = slice(None) if exact else np.zeros(1, np.intp)
+    weights = n ** np.arange(length if exact else 1)
+    keys, order = np.array([np.iinfo(np.int64).max]), np.array([-1])  # a sentinel ends keys
+    rnd = tried = 0
+
+    def index(lo):
+        """Add the tables lo, ..., k - 1 to the lookup."""
+        nonlocal X, weights, keys, order
+        while True:
+            codes = tables[lo:k, X] @ weights
+            s = np.argsort(codes)
+            at = np.searchsorted(keys, codes[s])
+            keys, order = np.insert(keys, at, codes[s]), np.insert(order, at, lo + s)
+            if exact or len(X) == width or (keys[1:] != keys[:-1]).all():
+                return
+            clash = np.flatnonzero(keys[1:] == keys[:-1])
+            diff = (tables[order[clash]] != tables[order[clash + 1]]).argmax(axis=1)
+            X = np.union1d(X, diff)[:width]
+            weights = n ** np.arange(len(X))
+            keys, order, lo = keys[-1:], order[-1:], 0
+
+    def fresh(cand):
+        """Positions of the rows of cand that are new: stored nowhere and
+        first of their kind in cand."""
+        codes = cand[:, X] @ weights
+        at = np.searchsorted(keys, codes)
+        new, live = keys[at] != codes, ()
+        if not exact:
+            new, live = np.ones(len(cand), bool), np.flatnonzero(~new)
+        while len(live):
+            same = (cand[live] == tables[order[at[live]]]).all(axis=1)
+            new[live[same]] = False
+            live = live[~same]
+            at[live] += 1
+            live = live[keys[at[live]] == codes[live]]
+        js = np.flatnonzero(new)
+        if len(js) > 1:
+            rows = cand[js].view(np.dtype((np.void, cand.itemsize * length))).ravel()
+            js = js[np.sort(np.unique(rows, return_index=True)[1])]
+        return js
+
+    def emit(cand, head, prefix, start, tried):
+        """Store and yield the new rows of cand.  Row j has the parents
+        prefix + (start + j,) and is argument tuple tried + j + 1 of the
+        enumeration (a projection is no tuple)."""
+        nonlocal tables, heads, args, k
+        js = fresh(cand)
+        if not len(js):
+            return
+        over = int(js[budget - k]) if k + len(js) > budget else None
+        lo, js = k, js[:budget - k]
+        k += len(js)
+        while k > len(tables):
+            tables, heads, args = (np.concatenate([a, a]) for a in (tables, heads, args))
+        tables[lo:k], heads[lo:k] = cand[js], head
+        args[lo:k, :len(prefix)], args[lo:k, len(prefix)] = prefix, start + js
+        index(lo)
+        if len(js):
+            yield tables[lo:k], lambda i: TermOp(arity, tuple(tables[lo + i].tolist()),
+                                                 witness(lo + i))
+        if over is not None:
+            raise CloneBudgetExceeded(f"clone budget {budget} exceeded at arity {arity}",
+                                      count=budget, round=rnd,
+                                      combos_tried=0 if head < 0 else tried + over + 1)
+
+    witnesses: dict[int, tuple] = {}
+
+    def witness(i):
+        if i not in witnesses:
+            if heads[i] < 0:
+                witnesses[i] = ("var", int(args[i, 0]))
+            else:
+                op = ops[heads[i]][0]
+                witnesses[i] = (op.name,) + tuple(witness(int(c)) for c in args[i, :op.arity])
+        return witnesses[i]
+
+    yield from emit((np.arange(length) // n ** np.arange(arity - 1, -1, -1)[:, None] % n)
+                    .astype(dtype), -1, (), 0, 0)
+    rows = max(1, laws.CHUNK // length)
+    prev = 0  # first index of the previous round
+    while True:
+        rnd += 1
+        snapshot = k
+        for h, (op, flat) in enumerate(ops):
+            if op.arity == 0:
+                if rnd == 1:
+                    yield from emit(np.full((1, length), flat[0], dtype), h, (), 0, tried)
+                    tried += 1
+                continue
+            for prefix in itertools.product(range(snapshot), repeat=op.arity - 1):
+                base = n ** np.arange(op.arity - 1, 0, -1) @ tables[list(prefix)]
+                lo = 0 if prefix and max(prefix) >= prev else prev
+                for start in range(lo, snapshot, rows):
+                    cand = np.take(flat, base + tables[start:min(start + rows, snapshot)])
+                    yield from emit(cand, h, prefix, start, tried)
+                    tried += len(cand)
+        if k == snapshot:
+            return
+        prev = snapshot
+
+
 def iter_term_ops(alg: FiniteAlgebra, arity: int, budget: int = DEFAULT_CLONE_BUDGET):
     """Yield the term operations of the given arity in generation order.
 
@@ -283,87 +422,16 @@ def iter_term_ops(alg: FiniteAlgebra, arity: int, budget: int = DEFAULT_CLONE_BU
     whose largest index is at least the first index of that round.  Each
     prefix of a tuple meets its last arguments in runs of at most laws.CHUNK
     entries (or one table), so memory stays bounded whatever the clone.
+
+    The engine (_term_blocks) works a block of new tables at a time, and
+    this generator only turns them into TermOps.  A table is looked up by
+    an exact integer code of its whole row when its n**arity entries of
+    (n - 1).bit_length() bits fit 62 bits (every ternary table on 3
+    elements does), otherwise by a code on a growing set of coordinates,
+    confirmed on the full row.
     """
-    if arity < 0:
-        raise InvariantViolation("clone-arity-nonnegative", arity)
-    if budget <= 0:
-        raise InvariantViolation("clone-budget-positive", budget)
-    n = alg.size
-    length = n**arity
-    if n == 0:
-        # Only the empty function exists; nullary ops cannot occur on size 0.
-        if arity > 0:
-            yield TermOp(arity, (), ("var", 0))
-        return
-
-    dtype = np.min_scalar_type(n - 1)
-    tables = np.empty((16, length), dtype)
-    witnesses: list[tuple] = []
-    seen: dict[bytes, int] = {}
-    # Rows are looked up by their values at the coordinates X, widened until
-    # they separate the stored tables or n**len(X) would pass 2**62.
-    X, keys, order = np.zeros(1, np.intp), (), ()
-    width = 62 // max(1, (n - 1).bit_length())
-    code = lambda rows: rows[:, X] @ n ** np.arange(len(X))
-    rnd = tried = 0
-
-    def emit(row, head, args, tries):
-        nonlocal tables
-        key = row.tobytes()
-        if key in seen:
-            return ()
-        k = len(witnesses)
-        if k >= budget:
-            raise CloneBudgetExceeded(f"clone budget {budget} exceeded at arity {arity}",
-                                      count=k, round=rnd, combos_tried=tries)
-        if k == len(tables):
-            tables = np.concatenate([tables, tables])
-        tables[k], seen[key] = row, k
-        witnesses.append(head + tuple(witnesses[c] for c in args))
-        return (TermOp(arity, tuple(row.tolist()), witnesses[-1]),)
-
-    def known(cand):
-        """Which rows of cand equal a stored table."""
-        nonlocal X, keys, order
-        k = len(witnesses)
-        while len(keys) != k:
-            codes = code(tables[:k])
-            order = np.argsort(codes)
-            keys = codes[order]
-            clash = np.flatnonzero(keys[1:] == keys[:-1])
-            diff = (tables[order[clash]] != tables[order[clash + 1]]).argmax(axis=1)
-            wider = np.unique(np.concatenate([X, diff]))[:width]
-            if len(wider) > len(X):
-                X, keys = wider, ()
-        hit = order[np.minimum(np.searchsorted(keys, code(cand)), k - 1)]
-        return (cand == tables[hit]).all(axis=1)
-
-    idx = np.arange(length)
-    for i in range(arity):
-        yield from emit(((idx // n ** (arity - 1 - i)) % n).astype(dtype), ("var", i), (), 0)
-    ops = [(op, np.asarray(op.table, dtype)) for op in alg.ops]
-    rows = max(1, laws.CHUNK // length)
-    prev = 0  # first index of the previous round
-    while True:
-        rnd += 1
-        snapshot = len(witnesses)
-        for op, flat in ops:
-            if op.arity == 0:
-                if rnd == 1:
-                    tried += 1
-                    yield from emit(np.full(length, flat[0]), (op.name,), (), tried)
-                continue
-            for prefix in itertools.product(range(snapshot), repeat=op.arity - 1):
-                base = n ** np.arange(op.arity - 1, 0, -1) @ tables[list(prefix)]
-                lo = 0 if prefix and max(prefix) >= prev else prev
-                for start in range(lo, snapshot, rows):
-                    cand = np.take(flat, base + tables[start:min(start + rows, snapshot)])
-                    for j in np.flatnonzero(~known(cand)).tolist():
-                        yield from emit(cand[j], (op.name,), (*prefix, start + j), tried + j + 1)
-                    tried += len(cand)
-        if len(witnesses) == snapshot:
-            return
-        prev = snapshot
+    for rows, term in _term_blocks(alg, arity, budget):
+        yield from map(term, range(len(rows)))
 
 
 def term_clone(

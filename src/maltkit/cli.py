@@ -8,6 +8,7 @@ JSON (default) or a pre-formatted text report (--golden).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -116,7 +117,9 @@ def _parse_op(text: str) -> AffinityOp:
     return AffinityOp(values[0], tuple(values[1:]))
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on the first call and kept for the process."""
     parser = _Parser(prog="mk", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--golden", action="store_true", help="pre-formatted text output")
@@ -154,7 +157,11 @@ def main(argv=None) -> int:
     add("lin-ext-check", files, name)
     add("untwisted-check", files, name)
     add("counterexample", files)
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.verb is None:
         parser.print_usage(sys.stderr)
@@ -166,8 +173,10 @@ def main(argv=None) -> int:
         sys.stdout.write(json.dumps({"error": exc.to_json()}, sort_keys=True) + "\n")
         return 1
     except BudgetError as exc:
+        progress = {k: v for k in ("count", "round", "combos_tried")
+                    if (v := getattr(exc, k)) is not None}
         sys.stdout.write(
-            json.dumps({"error": {"code": type(exc).__name__, "message": str(exc)}},
+            json.dumps({"error": {"code": type(exc).__name__, "message": str(exc), **progress}},
                        sort_keys=True) + "\n"
         )
         return 2

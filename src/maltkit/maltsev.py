@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DEFAULT_CLONE_BUDGET, FiniteAlgebra, TermOp, iter_term_ops, tuple_index
+from .algebra import DEFAULT_CLONE_BUDGET, FiniteAlgebra, TermOp, _term_blocks
 from .congruence import Congruence, _merge, congruence_violation
 from .errors import (
     DomainError,
@@ -180,16 +180,16 @@ def check_commutative(m: TernaryTable) -> bool:
     ]) is None
 
 
+def _maltsev_rows(rows, n: int):
+    """Which rows of a stack of flat full-domain ternary tables on n
+    elements are Maltsev: compared at the 2n^2 triples (x,y,y) and (y,y,x)."""
+    x, y = np.divmod(np.arange(n * n), n)
+    return ((rows[:, (x * n + y) * n + y] == x) & (rows[:, (y * n + y) * n + x] == x)).all(axis=1)
+
+
 def is_maltsev_table(table, size: int) -> bool:
     """Maltsev check on a flat full-domain table without building a TernaryTable."""
-    n = size
-    for x in range(n):
-        for y in range(n):
-            if table[tuple_index(n, (x, y, y))] != x:
-                return False
-            if table[tuple_index(n, (y, y, x))] != x:
-                return False
-    return True
+    return bool(_maltsev_rows(np.asarray(table).reshape(1, -1), size)[0])
 
 
 def find_maltsev_term(
@@ -199,12 +199,19 @@ def find_maltsev_term(
 
     Returns None when the clone completes without one (a definite answer);
     CloneBudgetExceeded propagates and means "inconclusive".
+
+    Reads the clone engine's blocks of new tables directly, tests each with
+    one array comparison and builds a TermOp only for the first hit.  A
+    block ends where the budget runs out, so a Maltsev table that comes
+    before that point is returned rather than the budget error.  On 3
+    elements every ternary table is looked up by an exact code of its row.
     """
     if alg.size == 0:
         raise EmptyTorsor("empty algebra has no Maltsev structure to witness")
-    for t in iter_term_ops(alg, 3, budget):
-        if is_maltsev_table(t.table, alg.size):
-            return t
+    for rows, term in _term_blocks(alg, 3, budget):
+        hit = np.flatnonzero(_maltsev_rows(rows, alg.size))
+        if hit.size:
+            return term(int(hit[0]))
     return None
 
 

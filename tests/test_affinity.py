@@ -20,7 +20,7 @@ from maltkit.affinity import (
     roundtrip_check,
 )
 from maltkit.algebra import FiniteAlgebra, Operation, TermOp
-from maltkit.errors import ArityError, NotAbelian, NotMaltsev
+from maltkit.errors import ArityError, InternalError, NotAbelian, NotMaltsev
 from maltkit.rings import LinearForm, cyclic_ring, module_over_self, zero_module
 
 
@@ -199,6 +199,19 @@ def test_abelianize_rejects_non_maltsev():
     alg, _ = ternary_algebra(2, lambda x, y, z: (x + y + z) % 2)
     with pytest.raises(NotMaltsev):
         abelianize(alg, TermOp(3, (0,) * 8))
+
+
+@pytest.mark.parametrize("op, kind", [
+    (Operation("s", 1, (1, 2, 3, 0)), "convex binary"),
+    (Operation("d", 1, (0, 2, 0, 2)), "unary"),
+])
+def test_abelianize_term_outside_the_clone(op, kind):
+    """x - y + z on Z/4 is no term of a lone unary operation; the first
+    derived table outside the clone names the clone it left."""
+    alg = FiniteAlgebra(4, (op,))
+    _, m = ternary_algebra(4, lambda x, y, z: (x - y + z) % 4)
+    with pytest.raises(InternalError, match=f"^{kind} clone not closed under the derived laws$"):
+        abelianize(alg, m, assume_abelian=True)
 
 
 def test_roundtrip_whole_corpus(forms):

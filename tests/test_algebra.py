@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import law_oracle
-from maltkit import laws
+from maltkit import algebra, laws
 from maltkit.algebra import (
+    _term_blocks,
     FiniteAlgebra,
     Homomorphism,
     Operation,
@@ -220,6 +221,67 @@ def test_iter_term_ops_matches_oracle_on_split_batches(monkeypatch):
             law_oracle.term_ops(alg, arity, budget))
 
 
+def isotope(n, stream):
+    """The Latin square c(a(x) + b(y)) mod n for random permutations a, b, c."""
+    a, b, c = (stream.sample(range(n), n) for _ in range(3))
+    return FiniteAlgebra(n, (Operation(
+        "f", 2, tuple(c[(a[x] + b[y]) % n] for x in range(n) for y in range(n))),))
+
+
+def test_blocks_split_inside_one_prefix(monkeypatch):
+    """With runs of three last arguments, a run ends inside the arguments of
+    one prefix, so consecutive blocks share their operation and prefix; the
+    blocks still hold the oracle's tables in its order."""
+    monkeypatch.setattr(laws, "CHUNK", 3 * 27)
+    groupoid = FiniteAlgebra(3, (Operation("f", 2, (0, 2, 2, 0, 1, 2, 1, 2, 2)),))
+    blocks = []
+    with pytest.raises(CloneBudgetExceeded) as exc:
+        for rows, term in _term_blocks(groupoid, 3, 200):
+            blocks.append([term(i) for i in range(len(rows))])
+            assert [t.table for t in blocks[-1]] == [tuple(r) for r in rows.tolist()]
+    flat = [(t.table, t.witness) for block in blocks for t in block]
+    assert flat + [("budget", exc.value.count, exc.value.round, exc.value.combos_tried)] \
+        == sequence(law_oracle.term_ops(groupoid, 3, 200))
+    assert any(a[-1].witness[:-1] == b[0].witness[:-1] for a, b in zip(blocks, blocks[1:]))
+
+
+def test_budget_runs_out_inside_the_block_of_a_maltsev_row():
+    """SubQ5's first Maltsev table is table 11 of the ternary clone, and
+    tables 10 to 12 come from one run of last arguments.  With budget 12 the
+    run overflows after the Maltsev row, which is returned; with budget 10
+    or 11 it overflows at or before that row, and the error carries the
+    oracle's progress."""
+    subq5 = next(alg for alg, _ in maltsev_corpus() if alg.name == "SubQ5")
+    oracle = list(itertools.islice(law_oracle.term_ops(subq5, 3, 100), 13))
+    assert [is_maltsev_table(t, 5) for t, _ in oracle].index(True) == 11
+    assert len({w[:-1] for _, w in oracle[10:13]}) == 1
+    found = find_maltsev_term(subq5, 12)
+    assert (found.table, found.witness) == oracle[11]
+    for budget in (10, 11):
+        with pytest.raises(CloneBudgetExceeded) as exc:
+            find_maltsev_term(subq5, budget)
+        progress = exc.value.count, exc.value.round, exc.value.combos_tried
+        assert ("budget", *progress) == sequence(law_oracle.term_ops(subq5, 3, budget))[-1]
+
+
+@pytest.mark.parametrize("code_bits", [62, 8, 3])
+def test_both_lookup_paths_match_oracle(monkeypatch, code_bits):
+    """Exact codes hold whole rows (3 elements at arity 3, 2 at arity 5);
+    the Z4 and Z5 isotopes at arity 3 use codes on a set of coordinates that
+    widens, since all projections agree at (0, 0, 0), and confirm every hit
+    on the full row.  Fewer code bits force the second path everywhere and
+    leave distinct stored tables with equal codes."""
+    monkeypatch.setattr(algebra, "CODE_BITS", code_bits)
+    monkeypatch.setattr(laws, "CHUNK", 1000)
+    stream = random.Random(20020304)
+    groupoid = FiniteAlgebra(3, (Operation("f", 2, (0, 2, 2, 0, 1, 2, 1, 2, 2)),))
+    cases = [(groupoid, 3, 300), (cyclic_group(2), 5, 300),
+             (isotope(4, stream), 3, 300), (isotope(5, stream), 3, 300)]
+    for alg, arity, budget in cases:
+        assert sequence(iter_term_ops(alg, arity, budget)) == sequence(
+            law_oracle.term_ops(alg, arity, budget))
+
+
 def first_maltsev(term_ops, n):
     try:
         return next(((t[0], t[1]) for t in term_ops if is_maltsev_table(t[0], n)), None)
@@ -235,10 +297,7 @@ def test_find_maltsev_term_stops_where_the_oracle_does():
     algs = [FiniteAlgebra(3, (Operation("f", 2, tuple(stream.randrange(3) for _ in range(9))),))
             for _ in range(6)]
     algs.append(FiniteAlgebra(3, (Operation("f", 2, (0, 2, 2, 0, 1, 2, 1, 2, 2)),)))
-    for n in (3, 4, 5):
-        a, b, c = (stream.sample(range(n), n) for _ in range(3))
-        algs.append(FiniteAlgebra(n, (Operation(
-            "f", 2, tuple(c[(a[x] + b[y]) % n] for x in range(n) for y in range(n))),)))
+    algs += [isotope(n, stream) for n in (3, 4, 5)]
     algs += [alg for alg, _ in maltsev_corpus()]
     for alg in algs:
         try:

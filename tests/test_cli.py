@@ -8,9 +8,13 @@ from pathlib import Path
 import pytest
 
 import maltkit
+from maltkit import cli
 from maltkit.catalog import dihedral_group
 from maltkit.cli import main
+from maltkit.errors import CloneBudgetExceeded
+from maltkit.maltsev import find_maltsev_term
 from maltkit.rings import cyclic_ring
+from maltkit.specfile import parse_files
 
 DATA = Path(__file__).parent / "data"
 # a child interpreter finds maltkit where this one did
@@ -52,9 +56,38 @@ def test_maltsev_term_semilattice_absent(capsys):
 
 
 def test_maltsev_term_budget_exit_code(capsys):
+    """The budget error carries the library exception's progress."""
     code, out = run_cli(capsys, "maltsev-term", str(DATA / "z4.alg"), "--budget", "2")
     assert code == 2
-    assert json.loads(out)["error"]["code"] == "CloneBudgetExceeded"
+    error = json.loads(out)["error"]
+    assert error["code"] == "CloneBudgetExceeded"
+    with pytest.raises(CloneBudgetExceeded) as exc:
+        find_maltsev_term(parse_files([str(DATA / "z4.alg")]).algebras["Z4"], 2)
+    assert (error["count"], error["round"], error["combos_tried"]) == (
+        exc.value.count, exc.value.round, exc.value.combos_tried) == (2, 0, 0)
+    assert error["message"] == str(exc.value)
+
+
+def test_parser_is_built_once(capsys):
+    """Calls in one process share one parser and print what calls with a
+    fresh parser print, also after an `append` option was given twice."""
+    forms = str(DATA / "forms.lf")
+    calls = [
+        ["affinity-compose", forms, "--form", "F2", "--outer", "0,1", "--inner", "0,0",
+         "--inner", "0,1"],
+        ["affinity-compose", forms, "--form", "F2", "--outer", "0,1", "--inner", "0,1"],
+        ["maltsev-term", str(DATA / "z4.alg"), "--budget", "2"],
+    ]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert cli._parser() is cli._parser()
+    assert [run_cli(capsys, *argv) for argv in calls] == fresh
+    assert "outer arity 2 but 1 inner operations" in fresh[1][1]
+    with pytest.raises(SystemExit) as exc:
+        main(["maltsev-term", "--arity"])
+    assert exc.value.code == 64
 
 
 def test_commutator_verb(capsys):

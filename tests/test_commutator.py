@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import pytest
@@ -270,3 +271,18 @@ def test_commutator_matches_oracle_on_d8():
     assert len(lattice) == 7  # the normal subgroups of D8
     for r, s in itertools.combinations_with_replacement(lattice, 2):
         assert commutator(d8, r, s, p) == commutator_oracle(d8, r, s, p)
+
+
+def test_is_abelian_tests_associativity_only_for_homomorphic_terms(monkeypatch, z4, z4_term):
+    """D8 fails centralize(total, total), so the n^5 associativity check is
+    skipped; on Z4 it runs once, for the cross-check."""
+    commutator_module = importlib.import_module("maltkit.commutator")
+    calls = []
+    real = commutator_module.check_associative
+    monkeypatch.setattr(commutator_module, "check_associative",
+                        lambda m: calls.append(m.size) or real(m))
+    d8 = dihedral_group(8)
+    assert not is_abelian(d8, group_maltsev_term(d8))
+    assert calls == []
+    assert is_abelian(z4, z4_term)
+    assert calls == [4]
