@@ -45,7 +45,6 @@ from .commutator import (
     center,
     centralize,
     commutator,
-    commutator_oracle,
     is_abelian,
     lower_series,
     nilpotence_class,

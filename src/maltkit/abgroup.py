@@ -61,18 +61,6 @@ class AbelianGroup:
     def trivial(cls) -> "AbelianGroup":
         return cls.cyclic(1)
 
-    @classmethod
-    def direct_sum(cls, g1: "AbelianGroup", g2: "AbelianGroup") -> "AbelianGroup":
-        n1, n2 = g1.size, g2.size
-        n = n1 * n2
-        table = []
-        for a in range(n):
-            for b in range(n):
-                s1 = g1.plus(a // n2, b // n2)
-                s2 = g2.plus(a % n2, b % n2)
-                table.append(s1 * n2 + s2)
-        return cls(n, tuple(table))
-
 
 def generating_sequence(g: AbelianGroup) -> list[int]:
     """Greedy generating sequence: extend whenever an element is not yet spanned."""

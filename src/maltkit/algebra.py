@@ -216,27 +216,15 @@ def subuniverse_generate(alg: FiniteAlgebra, generators) -> tuple[int, ...]:
     """Least subset containing the generators, closed under all operations.
 
     Nullary operations always seed the closure.  Returns the subuniverse
-    sorted ascending.
+    sorted ascending.  It is the closure of the clone engine at one
+    coordinate, whose generator rows are the generators.
     """
-    for g in generators:
+    gens = sorted(set(generators))
+    for g in gens:
         if not 0 <= g < alg.size:
             raise InvariantViolation("generator-in-carrier", g)
-    members = sorted(set(generators))
-    included = [False] * alg.size
-    for g in members:
-        included[g] = True
-    changed = True
-    while changed:
-        changed = False
-        for op in alg.ops:
-            for args in itertools.product(members, repeat=op.arity):
-                v = alg.apply(op, args)
-                if not included[v]:
-                    included[v] = True
-                    members.append(v)
-                    changed = True
-        members.sort()
-    return tuple(members)
+    blocks = _term_blocks(alg, np.reshape(gens, (-1, 1)), max(1, alg.size))
+    return tuple(sorted(v for rows, _ in blocks for v in rows[:, 0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -268,41 +256,61 @@ def eval_term(alg: FiniteAlgebra, term, args) -> int:
     return alg.apply(op, tuple(eval_term(alg, t, args) for t in term[1:]))
 
 
-def _term_blocks(alg: FiniteAlgebra, arity: int, budget: int):
-    """The clone engine behind iter_term_ops and the Maltsev search.
-
-    Yields blocks (rows, term): rows is an array of the next distinct new
-    tables in generation order, term(i) the TermOp of rows[i].  The new rows
-    of a run of candidates are found, deduplicated and stored with array
-    operations; a stored table keeps only its parents (head, argument
-    indices), and its witness term is expanded when term() asks for it.  If
-    a run holds more new tables than the budget allows, the block of those
-    that fit comes first and CloneBudgetExceeded is raised on the next step.
-    """
+def _projections(n: int, arity: int) -> np.ndarray:
+    """The projections of the given arity as rows over all argument tuples."""
     if arity < 0:
         raise InvariantViolation("clone-arity-nonnegative", arity)
+    return np.arange(n**arity) // n ** np.arange(arity - 1, -1, -1)[:, None] % n
+
+
+def _term_blocks(alg: FiniteAlgebra, gens, budget: int, cols=None):
+    """The clone engine behind iter_term_ops, the Maltsev search,
+    abelianize and subuniverse_generate.
+
+    It closes the generator rows gens under the operations, applied
+    coordinatewise.  Column j of gens is a coordinate, an argument tuple of
+    length len(gens), and row i holds argument i of each: the projections
+    there (_projections for a whole clone, the generators at the one
+    coordinate of a subuniverse), so that every row is the table of a term
+    operation on those coordinates.  Yields blocks (rows, term): rows is an
+    array of the next distinct new rows in generation order, term(i) the
+    TermOp of rows[i].  The new rows of a run of candidates are found,
+    deduplicated and stored with array operations; a stored row keeps only
+    its parents (head, argument indices), and its witness term is expanded
+    when term() asks for it.  If a run holds more new rows than the budget
+    allows, the block of those that fit comes first and CloneBudgetExceeded
+    is raised on the next step.
+
+    Given cols, candidates are evaluated and told apart on those columns
+    only, and a new row is evaluated whole once, from its parents, in runs
+    of at most laws.CHUNK entries.  The rows stay exact; the enumeration is
+    that of all columns if distinct rows of the closure differ on cols.
+    """
     if budget <= 0:
         raise InvariantViolation("clone-budget-positive", budget)
     n = alg.size
-    length = n**arity
+    arity = len(gens)
     if n == 0:
-        # Only the empty function exists; nullary ops cannot occur on size 0.
+        # Every row is empty; nullary ops cannot occur on size 0.
         if arity > 0:
             yield np.zeros((1, 0), np.uint8), lambda i: TermOp(arity, (), ("var", 0))
         return
 
     dtype = np.min_scalar_type(n - 1)
+    gens = np.asarray(gens, dtype)
     ops = [(op, np.asarray(op.table, dtype)) for op in alg.ops]
-    tables = np.empty((16, length), dtype)
+    full = np.empty((16, gens.shape[1]), dtype)
+    tables = full if cols is None else np.empty((16, len(cols)), dtype)  # rows on cols
+    length = tables.shape[1]
     heads = np.empty(16, np.intp)  # -1 for a projection, else the index of the operation
     args = np.empty((16, max([op.arity for op in alg.ops] + [1])), np.intp)
     k = 0
     # Rows are looked up by their code at the coordinates X in keys, the
-    # sorted codes of the stored tables (order holds their indices).  When a
+    # sorted codes of the stored rows (order holds their indices).  When a
     # whole row fits a code, X is every coordinate and the code is the row.
-    # Otherwise X is widened while two stored tables share a code and
+    # Otherwise X is widened while two stored rows share a code and
     # n**len(X) stays within 2**CODE_BITS, and every hit is confirmed on the
-    # full row; tables with equal codes sit next to each other in keys.
+    # whole row; rows with equal codes sit next to each other in keys.
     width = CODE_BITS // max(1, (n - 1).bit_length())
     exact = length <= width
     X = slice(None) if exact else np.zeros(1, np.intp)
@@ -346,25 +354,31 @@ def _term_blocks(alg: FiniteAlgebra, arity: int, budget: int):
             js = js[np.sort(np.unique(rows, return_index=True)[1])]
         return js
 
-    def emit(cand, head, prefix, start, tried):
+    def emit(cand, head, prefix, start, tried, whole):
         """Store and yield the new rows of cand.  Row j has the parents
         prefix + (start + j,) and is argument tuple tried + j + 1 of the
-        enumeration (a projection is no tuple)."""
-        nonlocal tables, heads, args, k
+        enumeration (a projection is no tuple); whole(js) evaluates the
+        rows js of cand on every column."""
+        nonlocal tables, full, heads, args, k
         js = fresh(cand)
         if not len(js):
             return
         over = int(js[budget - k]) if k + len(js) > budget else None
         lo, js = k, js[:budget - k]
         k += len(js)
-        while k > len(tables):
-            tables, heads, args = (np.concatenate([a, a]) for a in (tables, heads, args))
+        while k > len(heads):
+            heads, args, full = (np.concatenate([a, a]) for a in (heads, args, full))
+            tables = full if cols is None else np.concatenate([tables, tables])
         tables[lo:k], heads[lo:k] = cand[js], head
         args[lo:k, :len(prefix)], args[lo:k, len(prefix)] = prefix, start + js
+        if cols is not None:
+            step = max(1, laws.CHUNK // full.shape[1])
+            for i in range(0, len(js), step):
+                full[lo + i:lo + i + len(js[i:i + step])] = whole(js[i:i + step])
         index(lo)
         if len(js):
-            yield tables[lo:k], lambda i: TermOp(arity, tuple(tables[lo + i].tolist()),
-                                                 witness(lo + i))
+            yield full[lo:k], lambda i: TermOp(arity, tuple(full[lo + i].tolist()),
+                                               witness(lo + i))
         if over is not None:
             raise CloneBudgetExceeded(f"clone budget {budget} exceeded at arity {arity}",
                                       count=budget, round=rnd,
@@ -381,8 +395,7 @@ def _term_blocks(alg: FiniteAlgebra, arity: int, budget: int):
                 witnesses[i] = (op.name,) + tuple(witness(int(c)) for c in args[i, :op.arity])
         return witnesses[i]
 
-    yield from emit((np.arange(length) // n ** np.arange(arity - 1, -1, -1)[:, None] % n)
-                    .astype(dtype), -1, (), 0, 0)
+    yield from emit(gens if cols is None else gens[:, cols], -1, (), 0, 0, lambda js: gens[js])
     rows = max(1, laws.CHUNK // length)
     prev = 0  # first index of the previous round
     while True:
@@ -391,15 +404,18 @@ def _term_blocks(alg: FiniteAlgebra, arity: int, budget: int):
         for h, (op, flat) in enumerate(ops):
             if op.arity == 0:
                 if rnd == 1:
-                    yield from emit(np.full((1, length), flat[0], dtype), h, (), 0, tried)
+                    yield from emit(np.full((1, length), flat[0], dtype), h, (), 0, tried,
+                                    lambda js: np.full((len(js), full.shape[1]), flat[0], dtype))
                     tried += 1
                 continue
+            weight = n ** np.arange(op.arity - 1, 0, -1)
             for prefix in itertools.product(range(snapshot), repeat=op.arity - 1):
-                base = n ** np.arange(op.arity - 1, 0, -1) @ tables[list(prefix)]
+                base = weight @ tables[list(prefix)]
                 lo = 0 if prefix and max(prefix) >= prev else prev
                 for start in range(lo, snapshot, rows):
                     cand = np.take(flat, base + tables[start:min(start + rows, snapshot)])
-                    yield from emit(cand, h, prefix, start, tried)
+                    yield from emit(cand, h, prefix, start, tried, lambda js: np.take(
+                        flat, weight @ full[list(prefix)] + full[start + js]))
                     tried += len(cand)
         if k == snapshot:
             return
@@ -423,14 +439,14 @@ def iter_term_ops(alg: FiniteAlgebra, arity: int, budget: int = DEFAULT_CLONE_BU
     prefix of a tuple meets its last arguments in runs of at most laws.CHUNK
     entries (or one table), so memory stays bounded whatever the clone.
 
-    The engine (_term_blocks) works a block of new tables at a time, and
-    this generator only turns them into TermOps.  A table is looked up by
-    an exact integer code of its whole row when its n**arity entries of
-    (n - 1).bit_length() bits fit 62 bits (every ternary table on 3
-    elements does), otherwise by a code on a growing set of coordinates,
-    confirmed on the full row.
+    The engine (_term_blocks) closes the projections at all n**arity
+    argument tuples a block of new tables at a time, and this generator
+    only turns them into TermOps.  A table is looked up by an exact integer
+    code of its whole row when its n**arity entries of (n - 1).bit_length()
+    bits fit 62 bits (every ternary table on 3 elements does), otherwise by
+    a code on a growing set of coordinates, confirmed on the full row.
     """
-    for rows, term in _term_blocks(alg, arity, budget):
+    for rows, term in _term_blocks(alg, _projections(alg.size, arity), budget):
         yield from map(term, range(len(rows)))
 
 

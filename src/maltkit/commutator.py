@@ -9,7 +9,6 @@ its same-first-coordinate part.  The pair algebra is held as the
 translation array of the subalgebra R of A x A, built from the algebra's
 cached translation array once per algebra and R and kept on the algebra,
 so that `center` and the two series, which all use R = total, share it.
-An independent lattice-based oracle is provided for cross-checking.
 
 Every entry point requires an explicit Maltsev term; non-Maltsev algebras
 are rejected rather than silently falling back to a different commutator.
@@ -27,13 +26,10 @@ from .congruence import (
     _from_roots,
     _generate,
     _merge,
-    all_congruences,
     congruence_violation,
     join,
-    meet,
     principal_congruences,
     quotient,
-    quotient_congruence,
 )
 from .errors import InternalError, NotMaltsev
 from .maltsev import TernaryTable, check_associative, is_maltsev_table, restriction_violation
@@ -150,21 +146,6 @@ def _project_term(p: TermOp, theta: Congruence) -> TermOp:
     _, reps = np.unique(proj, return_index=True)
     table = proj[np.asarray(p.table).reshape((n,) * 3)[np.ix_(reps, reps, reps)]]
     return TermOp(3, tuple(table.ravel().tolist()), p.witness)
-
-
-def commutator_oracle(alg: FiniteAlgebra, R: Congruence, S: Congruence, p: TermOp) -> Congruence:
-    """Independent lattice characterisation: the meet of all congruences T
-    whose quotient makes R/T and S/T centralise each other."""
-    _require_maltsev(alg, p)
-    acc = Congruence.total(alg.size)
-    for T in all_congruences(alg):
-        qalg, _ = quotient(alg, T)
-        p_t = _project_term(p, T)
-        r_t = quotient_congruence(alg, R, T)
-        s_t = quotient_congruence(alg, S, T)
-        if centralize(qalg, r_t, s_t, p_t):
-            acc = meet(acc, T)
-    return acc
 
 
 def center(alg: FiniteAlgebra, p: TermOp) -> Congruence:

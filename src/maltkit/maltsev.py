@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DEFAULT_CLONE_BUDGET, FiniteAlgebra, TermOp, _term_blocks
+from .algebra import DEFAULT_CLONE_BUDGET, FiniteAlgebra, TermOp, _projections, _term_blocks
 from .congruence import Congruence, _merge, congruence_violation
 from .errors import (
     DomainError,
@@ -208,7 +208,7 @@ def find_maltsev_term(
     """
     if alg.size == 0:
         raise EmptyTorsor("empty algebra has no Maltsev structure to witness")
-    for rows, term in _term_blocks(alg, 3, budget):
+    for rows, term in _term_blocks(alg, _projections(alg.size, 3), budget):
         hit = np.flatnonzero(_maltsev_rows(rows, alg.size))
         if hit.size:
             return term(int(hit[0]))

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from maltkit import affinity
 from maltkit.affinity import (
     AffinityOp,
     FreeAffinity,
@@ -19,7 +20,8 @@ from maltkit.affinity import (
     pseudoconstants,
     roundtrip_check,
 )
-from maltkit.algebra import FiniteAlgebra, Operation, TermOp
+from maltkit.algebra import FiniteAlgebra, Operation, TermOp, term_clone
+from maltkit.catalog import dihedral_group, group_maltsev_term, symmetric_group_3
 from maltkit.errors import ArityError, InternalError, NotAbelian, NotMaltsev
 from maltkit.rings import LinearForm, cyclic_ring, module_over_self, zero_module
 
@@ -187,12 +189,28 @@ def test_abelianize_with_pseudoconstant():
 
 
 def test_abelianize_rejects_nonabelian():
-    from maltkit.catalog import dihedral_group, group_maltsev_term
-
     d4 = dihedral_group(4)
     p = group_maltsev_term(d4)
     with pytest.raises(NotAbelian):
         abelianize(d4, p)
+
+
+def test_binary_terms_need_abelianness(monkeypatch):
+    """On S3 and D4 distinct binary term operations agree on the pairs
+    (x, 0) and (0, y), so the enumeration there misses tables; abelianize
+    rejects both before it enumerates a clone."""
+    for alg, full, on_axes in [(symmetric_group_3(), 972, 36), (dihedral_group(4), 32, 16)]:
+        assert len(term_clone(alg, 2)) == full
+        assert len(tuple(affinity._binary_terms(alg, 10_000))) == on_axes
+
+    def no_clone(*args):
+        raise AssertionError("clone enumerated")
+
+    monkeypatch.setattr(affinity, "_term_blocks", no_clone)
+    monkeypatch.setattr(affinity, "term_clone", no_clone)
+    for alg in (symmetric_group_3(), dihedral_group(4)):
+        with pytest.raises(NotAbelian):
+            abelianize(alg, group_maltsev_term(alg))
 
 
 def test_abelianize_rejects_non_maltsev():

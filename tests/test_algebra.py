@@ -1,12 +1,15 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import law_oracle
 from maltkit import algebra, laws
+from maltkit.affinity import FreeAffinity, _binary_terms
 from maltkit.algebra import (
+    _projections,
     _term_blocks,
     FiniteAlgebra,
     Homomorphism,
@@ -22,9 +25,11 @@ from maltkit.algebra import (
     term_clone,
     tuple_index,
 )
-from maltkit.catalog import cyclic_group, maltsev_corpus
+from maltkit.catalog import cyclic_group, group_corpus, maltsev_corpus
+from maltkit.commutator import is_abelian
 from maltkit.errors import CloneBudgetExceeded, InvariantViolation, SignatureError
 from maltkit.maltsev import find_maltsev_term, is_maltsev_table
+from maltkit.rings import LinearForm, cyclic_ring, dual_numbers_f2, module_over_self
 
 
 def brute_closure(alg, generators):
@@ -140,6 +145,26 @@ def test_subuniverse_idempotent_monotone(g1, g2):
         assert set(s1) <= set(subuniverse_generate(alg, g2))
 
 
+@st.composite
+def algebras_with_generators(draw):
+    """At most five elements, operations of arity 0 to 3, and a set of
+    generators."""
+    n = draw(st.integers(1, 5))
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    alg = FiniteAlgebra(n, tuple(
+        Operation(f"f{i}", a, tuple(draw(st.lists(st.integers(0, n - 1), min_size=n**a,
+                                                   max_size=n**a))))
+        for i, a in enumerate(arities)))
+    return alg, draw(st.sets(st.integers(0, n - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(algebras_with_generators())
+def test_subuniverse_matches_brute_closure(case):
+    alg, generators = case
+    assert subuniverse_generate(alg, generators) == brute_closure(alg, generators)
+
+
 def one_ternary(table2, size):
     return FiniteAlgebra(size, (Operation("m", 3, table2),))
 
@@ -228,6 +253,66 @@ def isotope(n, stream):
         "f", 2, tuple(c[(a[x] + b[y]) % n] for x in range(n) for y in range(n))),))
 
 
+def free_affinity(ring):
+    """The rank-2 free affinity of the identity form of ring."""
+    return FreeAffinity(LinearForm(module_over_self(ring), tuple(range(ring.size))), 2).algebra()
+
+
+def test_binary_terms_on_free_affinities(monkeypatch):
+    """The free affinities of id-Z2, ..., id-Z6 and F2[eps] (the clone has
+    n tables): complete, and cut by the budget inside a round.  The engine
+    tells tables apart on the 2n - 1 pairs (x, 0) and (0, y) and yields the
+    full clone's tables, witnesses, order and budget progress."""
+    for ring in [cyclic_ring(k) for k in range(2, 7)] + [dual_numbers_f2()]:
+        alg = free_affinity(ring)
+        for budget in (10_000, alg.size // 2 + 1, 3):
+            assert sequence(_binary_terms(alg, budget)) == sequence(
+                law_oracle.term_ops(alg, 2, budget))
+    # runs of 16 candidates, whose whole rows are evaluated two at a time
+    alg = free_affinity(cyclic_ring(4))
+    monkeypatch.setattr(laws, "CHUNK", 2 * alg.size**2)
+    for budget in (10_000, 11):
+        assert sequence(_binary_terms(alg, budget)) == sequence(
+            law_oracle.term_ops(alg, 2, budget))
+    axes = np.union1d(np.arange(16) * 16, np.arange(16))
+    for rows, term in _term_blocks(alg, _projections(16, 2), 100, axes):
+        assert rows.tolist() == [list(term(i).table) for i in range(len(rows))]
+
+
+def test_binary_terms_on_abelian_groups():
+    groups = [alg for alg, p, *_ in group_corpus() if is_abelian(alg, p)]
+    assert [alg.size for alg in groups] == [2, 3, 4, 5, 6, 4]
+    for alg in groups + [cyclic_group(8)]:
+        for budget in (10_000, 7):
+            assert sequence(_binary_terms(alg, budget)) == sequence(
+                law_oracle.term_ops(alg, 2, budget))
+
+
+@st.composite
+def affine_algebras(draw):
+    """Z_n^k with operations c + A_1 x_1 + ... + A_a x_a of arity a in 0..3,
+    for a vector c and k x k matrices A_i over Z_n; elements are their
+    digit vectors, most significant first."""
+    n, k = draw(st.sampled_from([(2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2), (2, 3)]))
+    size = n**k
+    digits = _projections(n, k)
+    ops = []
+    for i, a in enumerate(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))):
+        value = np.array(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k)))[:, None]
+        for x in _projections(size, a):
+            mat = draw(st.lists(st.integers(0, n - 1), min_size=k * k, max_size=k * k))
+            value = value + np.reshape(mat, (k, k)) @ digits[:, x]
+        table = n ** np.arange(k - 1, -1, -1) @ (value % n)
+        ops.append(Operation(f"f{i}", a, tuple(np.broadcast_to(table, size**a).tolist())))
+    return FiniteAlgebra(size, tuple(ops))
+
+
+@settings(max_examples=40, deadline=None)
+@given(affine_algebras(), st.integers(1, 30))
+def test_binary_terms_on_affine_algebras(alg, budget):
+    assert sequence(_binary_terms(alg, budget)) == sequence(law_oracle.term_ops(alg, 2, budget))
+
+
 def test_blocks_split_inside_one_prefix(monkeypatch):
     """With runs of three last arguments, a run ends inside the arguments of
     one prefix, so consecutive blocks share their operation and prefix; the
@@ -236,7 +321,7 @@ def test_blocks_split_inside_one_prefix(monkeypatch):
     groupoid = FiniteAlgebra(3, (Operation("f", 2, (0, 2, 2, 0, 1, 2, 1, 2, 2)),))
     blocks = []
     with pytest.raises(CloneBudgetExceeded) as exc:
-        for rows, term in _term_blocks(groupoid, 3, 200):
+        for rows, term in _term_blocks(groupoid, _projections(3, 3), 200):
             blocks.append([term(i) for i in range(len(rows))])
             assert [t.table for t in blocks[-1]] == [tuple(r) for r in rows.tolist()]
     flat = [(t.table, t.witness) for block in blocks for t in block]

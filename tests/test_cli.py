@@ -191,6 +191,20 @@ def test_counterexample_matches_golden(capsys):
     assert out == golden
 
 
+@pytest.mark.parametrize("golden, argv", [
+    ("roundtrip_f2.golden", ["roundtrip", "forms.lf", "--form", "F2"]),
+    ("roundtrip_f4.golden", ["roundtrip", "forms.lf", "--form", "F4"]),
+    ("roundtrip_id_z6.golden", ["roundtrip", "id_z6.lf"]),
+    ("abelianize_z4.golden", ["abelianize", "z4.alg"]),
+])
+def test_clone_order_goldens(capsys, golden, argv):
+    """The recovered ring and module number their elements in clone order,
+    and so do ring_iso, module_iso and the printed form."""
+    code, out = run_cli(capsys, argv[0], str(DATA / argv[1]), *argv[2:])
+    assert code == 0
+    assert out == (DATA / golden).read_text()
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.alg"
     bad.write_text("algebra A { size 2 op f/2 = [0 1 1] }")

@@ -19,7 +19,6 @@ from maltkit.commutator import (
     center,
     centralize,
     commutator,
-    commutator_oracle,
     is_abelian,
     lower_series,
     nilpotence_class,
@@ -28,6 +27,7 @@ from maltkit.commutator import (
 from maltkit.congruence import Congruence, all_congruences, cg, join, meet, quotient
 from maltkit.errors import NotMaltsev
 
+from commutator_oracle import commutator_oracle
 from group_oracle import GroupTable
 
 
