@@ -24,6 +24,8 @@ from . import laws
 
 DEFAULT_CLONE_BUDGET = 200_000
 CODE_BITS = 62  # the clone engine looks tables up by integer codes below 2**CODE_BITS
+TABLE_ENTRIES = 1 << 16  # most entries of an operation table of the clone engine on A^w
+CACHE_SLOTS = 1 << 17  # most slots of the clone engine's code cache
 
 
 def tuple_index(size: int, args) -> int:
@@ -263,6 +265,31 @@ def _projections(n: int, arity: int) -> np.ndarray:
     return np.arange(n**arity) // n ** np.arange(arity - 1, -1, -1)[:, None] % n
 
 
+def _power_tables(flat, arity: int, n: int, w: int, dtype) -> list:
+    """The tables of an operation of arity >= 1 on A^1, ..., A^w.
+
+    Element p of A^j has the digits p // n**i % n, i < j, and the operation
+    acts on each digit.  Splitting off the top digit, p = M*d + q with
+    M = n**(j - 1), gives f(p1, ...) = M*f(d1, ...) + f(q1, ...): the table
+    on A^j is a broadcast sum of those on A^1 and A^(j - 1).
+    """
+    out = [flat.astype(dtype, copy=False)]
+    f = out[0].reshape((n, 1) * arity)
+    for j in range(1, w):
+        out.append((out[-1].reshape((1, n**j) * arity) + n**j * f).reshape(-1))
+    return out
+
+
+def _packing(n: int, widest: int, length: int) -> int:
+    """The clone engine's packing width: the largest w <= length, and at
+    least 1, whose table of an operation of arity widest on A^w has at most
+    TABLE_ENTRIES entries."""
+    w = 1
+    while w < length and n ** ((w + 1) * widest) <= TABLE_ENTRIES:
+        w += 1
+    return w
+
+
 def _term_blocks(alg: FiniteAlgebra, gens, budget: int, cols=None):
     """The clone engine behind iter_term_ops, the Maltsev search,
     abelianize and subuniverse_generate.
@@ -281,6 +308,22 @@ def _term_blocks(alg: FiniteAlgebra, gens, budget: int, cols=None):
     allows, the block of those that fit comes first and CloneBudgetExceeded
     is raised on the next step.
 
+    Rows are stored packed: each run of w coordinates, the last possibly
+    shorter, is one element of the power A^w, its base-n digits in
+    coordinate order (_packing picks w; w = 1 leaves rows as they are).
+    The tables of every operation on A^w, and on A^r for a shorter last
+    run, are built once, so a run of candidates costs one gather per packed
+    element; only the new rows are unpacked to rows of A.
+
+    A candidate is looked up by an integer code of its packed elements at
+    a set X of packed columns in the sorted codes of every stored row.
+    When a whole row fits CODE_BITS, X is every column and the code is the
+    row read as a base-n number, coordinate j of weight n**j; a
+    direct-mapped cache of the stored codes, whose slot is a multiplicative
+    hash of the code, answers first, and only its misses reach the sorted
+    codes, which decide.  Otherwise X grows while two stored rows share a
+    code, and every code hit is confirmed on the whole packed row.
+
     Given cols, candidates are evaluated and told apart on those columns
     only, and a new row is evaluated whole once, from its parents, in runs
     of at most laws.CHUNK entries.  The rows stay exact; the enumeration is
@@ -298,67 +341,114 @@ def _term_blocks(alg: FiniteAlgebra, gens, budget: int, cols=None):
 
     dtype = np.min_scalar_type(n - 1)
     gens = np.asarray(gens, dtype)
-    ops = [(op, np.asarray(op.table, dtype)) for op in alg.ops]
-    full = np.empty((16, gens.shape[1]), dtype)
-    tables = full if cols is None else np.empty((16, len(cols)), dtype)  # rows on cols
-    length = tables.shape[1]
+    length = gens.shape[1] if cols is None else len(cols)
+    widest = max([op.arity for op in alg.ops] + [1])
+    w = _packing(n, widest, length)
+    r = length % w  # the length of a shorter last run, if any
+    G = -(-length // w)  # packed columns
+    # the width of each packed column; one entry stands for all when they agree
+    spans = np.array([w] * (G - 1) + [r] if r else [w])
+    N = n**w
+    packed = np.min_scalar_type(N - 1)  # the dtype of an element of A^w
+    digits = (np.arange(N)[:, None] // n ** np.arange(w) % n).astype(dtype)  # of A^w
+
+    def pack(rows):
+        if w == 1:
+            return rows
+        padded = np.zeros((len(rows), G * w), np.int64)
+        padded[:, :length] = rows
+        return (padded.reshape(len(rows), G, w) @ n ** np.arange(w)).astype(packed)
+
+    def unpack(rows):
+        if w == 1:
+            return rows
+        return np.take(digits, rows, axis=0).reshape(len(rows), G * w)[:, :length]
+
+    # (op, table on A, its weights, tables on A^w and A^r for a shorter last
+    # run, the weights of a packed column on them and its offset)
+    ops = []
+    for op in alg.ops:
+        flat = np.asarray(op.table, dtype)
+        if op.arity == 0:
+            ops.append((op, flat, None, None, None, None))
+            continue
+        powers = _power_tables(flat, op.arity, n, w, packed)
+        ops.append((op, flat, n ** np.arange(op.arity - 1, 0, -1),
+                    np.concatenate([powers[-1], powers[r - 1]]) if r else powers[-1],
+                    n ** (spans * np.arange(op.arity - 1, 0, -1)[:, None]),
+                    np.where(spans == w, 0, len(powers[-1]))))
+    tables = np.empty((16, G), packed)  # packed rows (on cols, if given)
+    full = np.empty((16 if cols is not None else 0, gens.shape[1]), dtype)  # whole rows, for cols
     heads = np.empty(16, np.intp)  # -1 for a projection, else the index of the operation
-    args = np.empty((16, max([op.arity for op in alg.ops] + [1])), np.intp)
+    args = np.empty((16, widest), np.intp)
     k = 0
-    # Rows are looked up by their code at the coordinates X in keys, the
-    # sorted codes of the stored rows (order holds their indices).  When a
-    # whole row fits a code, X is every coordinate and the code is the row.
-    # Otherwise X is widened while two stored rows share a code and
-    # n**len(X) stays within 2**CODE_BITS, and every hit is confirmed on the
-    # whole row; rows with equal codes sit next to each other in keys.
-    width = CODE_BITS // max(1, (n - 1).bit_length())
-    exact = length <= width
+    # keys holds the sorted codes of the stored rows and order their indices
+    # (rows with equal codes sit next to each other).  Slot i of the cache
+    # holds the exact code slot_code[i] of a stored row, or -1; the cache
+    # grows with the stored rows up to CACHE_SLOTS slots.
+    width = max(1, CODE_BITS // max(1, (N - 1).bit_length()))
+    exact = length <= CODE_BITS // max(1, (n - 1).bit_length())
     X = slice(None) if exact else np.zeros(1, np.intp)
-    weights = n ** np.arange(length if exact else 1)
+    weights = N ** np.arange(G if exact else 1)
     keys, order = np.array([np.iinfo(np.int64).max]), np.array([-1])  # a sentinel ends keys
+    slot_code, shift = np.full(2, -1, np.int64), np.uint64(63)
     rnd = tried = 0
+
+    def slot(codes):
+        return (codes.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> shift
 
     def index(lo):
         """Add the tables lo, ..., k - 1 to the lookup."""
-        nonlocal X, weights, keys, order
+        nonlocal X, weights, keys, order, slot_code, shift
         while True:
             codes = tables[lo:k, X] @ weights
             s = np.argsort(codes)
             at = np.searchsorted(keys, codes[s])
             keys, order = np.insert(keys, at, codes[s]), np.insert(order, at, lo + s)
             if exact or len(X) == width or (keys[1:] != keys[:-1]).all():
-                return
+                break
             clash = np.flatnonzero(keys[1:] == keys[:-1])
             diff = (tables[order[clash]] != tables[order[clash + 1]]).argmax(axis=1)
             X = np.union1d(X, diff)[:width]
-            weights = n ** np.arange(len(X))
+            weights = N ** np.arange(len(X))
             keys, order, lo = keys[-1:], order[-1:], 0
+        if not exact:
+            return
+        if len(slot_code) < min(8 * k, CACHE_SLOTS):
+            size = min(CACHE_SLOTS, 1 << max(10, (8 * k).bit_length()))
+            slot_code, shift = np.full(size, -1, np.int64), np.uint64(65 - size.bit_length())
+            codes = tables[:k] @ weights
+        slot_code[slot(codes)] = codes
 
     def fresh(cand):
         """Positions of the rows of cand that are new: stored nowhere and
         first of their kind in cand."""
         codes = cand[:, X] @ weights
+        rest = np.flatnonzero(slot_code[slot(codes)] != codes) if exact else np.arange(len(cand))
+        if not len(rest):
+            return rest
+        codes = codes[rest]
         at = np.searchsorted(keys, codes)
         new, live = keys[at] != codes, ()
         if not exact:
-            new, live = np.ones(len(cand), bool), np.flatnonzero(~new)
+            new, live = np.ones(len(rest), bool), np.flatnonzero(~new)
         while len(live):
-            same = (cand[live] == tables[order[at[live]]]).all(axis=1)
+            same = (cand[rest[live]] == tables[order[at[live]]]).all(axis=1)
             new[live[same]] = False
             live = live[~same]
             at[live] += 1
             live = live[keys[at[live]] == codes[live]]
-        js = np.flatnonzero(new)
+        js = rest[new]
         if len(js) > 1:
-            rows = cand[js].view(np.dtype((np.void, cand.itemsize * length))).ravel()
+            rows = cand[js].view(np.dtype((np.void, cand.itemsize * cand.shape[1]))).ravel()
             js = js[np.sort(np.unique(rows, return_index=True)[1])]
         return js
 
     def emit(cand, head, prefix, start, tried, whole):
-        """Store and yield the new rows of cand.  Row j has the parents
-        prefix + (start + j,) and is argument tuple tried + j + 1 of the
-        enumeration (a projection is no tuple); whole(js) evaluates the
-        rows js of cand on every column."""
+        """Store and yield the new rows of the packed candidates cand.  Row
+        j has the parents prefix + (start + j,) and is argument tuple
+        tried + j + 1 of the enumeration (a projection is no tuple);
+        whole(js) evaluates the rows js of cand on every column."""
         nonlocal tables, full, heads, args, k
         js = fresh(cand)
         if not len(js):
@@ -367,18 +457,20 @@ def _term_blocks(alg: FiniteAlgebra, gens, budget: int, cols=None):
         lo, js = k, js[:budget - k]
         k += len(js)
         while k > len(heads):
-            heads, args, full = (np.concatenate([a, a]) for a in (heads, args, full))
-            tables = full if cols is None else np.concatenate([tables, tables])
+            heads, args, tables, full = (np.concatenate([a, a])
+                                         for a in (heads, args, tables, full))
         tables[lo:k], heads[lo:k] = cand[js], head
         args[lo:k, :len(prefix)], args[lo:k, len(prefix)] = prefix, start + js
-        if cols is not None:
+        if cols is None:
+            block = unpack(tables[lo:k])
+        else:
             step = max(1, laws.CHUNK // full.shape[1])
             for i in range(0, len(js), step):
                 full[lo + i:lo + i + len(js[i:i + step])] = whole(js[i:i + step])
+            block = full[lo:k]
         index(lo)
         if len(js):
-            yield full[lo:k], lambda i: TermOp(arity, tuple(full[lo + i].tolist()),
-                                               witness(lo + i))
+            yield block, lambda i: TermOp(arity, tuple(block[i].tolist()), witness(lo + i))
         if over is not None:
             raise CloneBudgetExceeded(f"clone budget {budget} exceeded at arity {arity}",
                                       count=budget, round=rnd,
@@ -395,25 +487,25 @@ def _term_blocks(alg: FiniteAlgebra, gens, budget: int, cols=None):
                 witnesses[i] = (op.name,) + tuple(witness(int(c)) for c in args[i, :op.arity])
         return witnesses[i]
 
-    yield from emit(gens if cols is None else gens[:, cols], -1, (), 0, 0, lambda js: gens[js])
-    rows = max(1, laws.CHUNK // length)
+    yield from emit(pack(gens if cols is None else gens[:, cols]), -1, (), 0, 0,
+                    lambda js: gens[js])
+    rows = max(1, laws.CHUNK // G)
     prev = 0  # first index of the previous round
     while True:
         rnd += 1
         snapshot = k
-        for h, (op, flat) in enumerate(ops):
+        for h, (op, flat, weight, power, radix, offset) in enumerate(ops):
             if op.arity == 0:
                 if rnd == 1:
-                    yield from emit(np.full((1, length), flat[0], dtype), h, (), 0, tried,
+                    yield from emit(pack(np.full((1, length), flat[0])), h, (), 0, tried,
                                     lambda js: np.full((len(js), full.shape[1]), flat[0], dtype))
                     tried += 1
                 continue
-            weight = n ** np.arange(op.arity - 1, 0, -1)
             for prefix in itertools.product(range(snapshot), repeat=op.arity - 1):
-                base = weight @ tables[list(prefix)]
+                base = offset + sum(c * tables[i] for c, i in zip(radix, prefix))
                 lo = 0 if prefix and max(prefix) >= prev else prev
                 for start in range(lo, snapshot, rows):
-                    cand = np.take(flat, base + tables[start:min(start + rows, snapshot)])
+                    cand = np.take(power, base + tables[start:min(start + rows, snapshot)])
                     yield from emit(cand, h, prefix, start, tried, lambda js: np.take(
                         flat, weight @ full[list(prefix)] + full[start + js]))
                     tried += len(cand)
@@ -441,10 +533,16 @@ def iter_term_ops(alg: FiniteAlgebra, arity: int, budget: int = DEFAULT_CLONE_BU
 
     The engine (_term_blocks) closes the projections at all n**arity
     argument tuples a block of new tables at a time, and this generator
-    only turns them into TermOps.  A table is looked up by an exact integer
-    code of its whole row when its n**arity entries of (n - 1).bit_length()
-    bits fit 62 bits (every ternary table on 3 elements does), otherwise by
-    a code on a growing set of coordinates, confirmed on the full row.
+    only turns them into TermOps.  It keeps each table packed, w entries to
+    one element of A^w (w = 5 on 3 elements and 2 on 8 to 16 elements when
+    the widest operation is binary, 1 on the 64-element free affinities
+    with their ternary herd), and evaluates every operation through its
+    table on A^w.  A candidate table is looked up by an integer code in the
+    sorted codes of all stored tables: an exact code of the whole row when
+    its n**arity entries of (n - 1).bit_length() bits fit 62 bits (every
+    ternary table on 3 elements does), which a direct-mapped cache answers
+    first, otherwise a code on a growing set of packed columns, confirmed
+    on the full row.
     """
     for rows, term in _term_blocks(alg, _projections(alg.size, arity), budget):
         yield from map(term, range(len(rows)))

@@ -117,13 +117,23 @@ def _parse_op(text: str) -> AffinityOp:
     return AffinityOp(values[0], tuple(values[1:]))
 
 
+def _count(least: int):
+    """An argparse type: an integer of at least `least`, else a usage error."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, not {value}")
+        return value
+    return parse
+
+
 @functools.cache
 def _parser() -> _Parser:
     """The argument parser, built on the first call and kept for the process."""
     parser = _Parser(prog="mk", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--golden", action="store_true", help="pre-formatted text output")
-    common.add_argument("--budget", type=int, default=DEFAULT_CLONE_BUDGET)
+    common.add_argument("--budget", type=_count(1), default=DEFAULT_CLONE_BUDGET)
     sub = parser.add_subparsers(dest="verb")
 
     def add(name, *specs):
@@ -138,7 +148,7 @@ def _parser() -> _Parser:
     add("maltsev-term", files, name)
     add("torsor-check", files, name)
     add("torsor-group", files, name)
-    add("clone", files, name, (("--arity",), {"type": int, "default": 1}))
+    add("clone", files, name, (("--arity",), {"type": _count(0), "default": 1}))
     add("commutator", files, name, (("--R",), {"required": True}), (("--S",), {"required": True}))
     add("center", files, name)
     add("nilpotence", files, name, (("--max",), {"type": int, "default": None}))

@@ -32,6 +32,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
+import types
 
 import numpy as np
 
@@ -41,7 +42,14 @@ CHUNK = 1 << 18
 
 
 def _reads(holds, k):
-    """How many leading variables a law reads; one taking *args reads all k."""
+    """How many leading variables a law reads; one taking *args reads all k.
+
+    A plain function's code object says so directly; inspect.signature,
+    which costs far more, is kept for other callables (partials, methods).
+    """
+    if isinstance(holds, types.FunctionType):
+        code = holds.__code__
+        return k if code.co_flags & inspect.CO_VARARGS else code.co_argcount
     params = inspect.signature(holds).parameters.values()
     return k if any(p.kind is p.VAR_POSITIONAL for p in params) else len(params)
 

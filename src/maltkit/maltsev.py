@@ -204,7 +204,10 @@ def find_maltsev_term(
     one array comparison and builds a TermOp only for the first hit.  A
     block ends where the budget runs out, so a Maltsev table that comes
     before that point is returned rather than the budget error.  On 3
-    elements every ternary table is looked up by an exact code of its row.
+    elements the engine packs the 27 entries of a ternary table into six
+    elements of A^5, evaluates a candidate with six gathers from the
+    operation's table on A^5, and looks its exact code up in a
+    direct-mapped cache before the sorted codes of all stored tables.
     """
     if alg.size == 0:
         raise EmptyTorsor("empty algebra has no Maltsev structure to witness")

@@ -23,6 +23,7 @@ at load time; failures surface as E_INVARIANT diagnostics.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .abgroup import AbelianGroup
@@ -59,57 +60,24 @@ class Token:
     col: int
 
 
-_PUNCT = ("->", "{", "}", "[", "]", "(", ")", "=", "|", "/", ":", ",")
+# A token of a line without its comment, or a character that starts none:
+# punctuation, an integer in the decimal digits int() reads, a word (an
+# identifier if it starts with a letter or "_") or anything but a blank.
+_TOKEN = re.compile(r"(?P<punct>->|[{}\[\]()=|/:,])|(?P<int>-?\d+)|(?P<ident>\w+)"
+                    r"|(?P<bad>[^ \t\r])")
 
 
 def _lex(text: str) -> list[Token]:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("->", i):
-            tokens.append(Token("punct", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if c in "{}[]()=|/:,":
-            tokens.append(Token("punct", c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise Diagnostic("E_SYNTAX", line, col, f"unexpected character {c!r}")
-    tokens.append(Token("eof", "", line, col))
+    for line, row in enumerate(text.split("\n"), 1):
+        row = row.split("#", 1)[0]
+        for m in _TOKEN.finditer(row):
+            kind, word = m.lastgroup, m.group()
+            if kind == "bad" or kind == "ident" and not (word[0].isalpha() or word[0] == "_"):
+                raise Diagnostic("E_SYNTAX", line, m.start() + 1,
+                                 f"unexpected character {word[0]!r}")
+            tokens.append(Token(kind, word, line, m.start() + 1))
+    tokens.append(Token("eof", "", line, len(row) + 1))
     return tokens
 
 

@@ -227,11 +227,35 @@ def small_algebras(draw):
         for i, a in enumerate(arities)))
 
 
+def packed(mp, alg, w, slots=algebra.CACHE_SLOTS):
+    """Make the engine pack w coordinates per element of A^w (fewer if the
+    rows are shorter) and look codes up through a cache of the given slots."""
+    widest = max([op.arity for op in alg.ops] + [1])
+    assert alg.size ** (w * widest) <= 1 << 20, "keep the tables on A^w small"
+    mp.setattr(algebra, "TABLE_ENTRIES", alg.size ** (w * widest))
+    mp.setattr(algebra, "CACHE_SLOTS", slots)
+
+
 @settings(max_examples=80, deadline=None)
-@given(small_algebras(), st.integers(0, 3), st.integers(1, 40))
-def test_iter_term_ops_matches_oracle(alg, arity, budget):
-    assert sequence(iter_term_ops(alg, arity, budget)) == sequence(
-        law_oracle.term_ops(alg, arity, budget))
+@given(small_algebras(), st.integers(0, 3), st.integers(1, 40), st.sampled_from([1, 2, 3]),
+       st.sampled_from([2, algebra.CACHE_SLOTS]))
+def test_iter_term_ops_matches_oracle(alg, arity, budget, w, slots):
+    """Packed rows of widths 1 to 3, which need not divide the row length,
+    and a 2-slot cache in which lookups collide."""
+    with pytest.MonkeyPatch.context() as mp:
+        packed(mp, alg, w, slots)
+        assert sequence(iter_term_ops(alg, arity, budget)) == sequence(
+            law_oracle.term_ops(alg, arity, budget))
+
+
+def test_packing_width():
+    """5 coordinates per element for 3-element groupoids, 2 for groups of
+    8 to 16 elements, 1 for 64-element free affinities (ternary herd), and
+    never more than the row length."""
+    assert algebra._packing(3, 2, 27) == 5
+    assert [algebra._packing(n, 2, n**3) for n in (8, 12, 16)] == [2, 2, 2]
+    assert algebra._packing(64, 3, 64**2) == 1
+    assert algebra._packing(3, 2, 1) == algebra._packing(1, 3, 4) - 3 == 1
 
 
 def test_iter_term_ops_matches_oracle_on_split_batches(monkeypatch):
@@ -277,6 +301,22 @@ def test_binary_terms_on_free_affinities(monkeypatch):
     axes = np.union1d(np.arange(16) * 16, np.arange(16))
     for rows, term in _term_blocks(alg, _projections(16, 2), 100, axes):
         assert rows.tolist() == [list(term(i).table) for i in range(len(rows))]
+
+
+def test_binary_terms_packed():
+    """The binary clone on the 2n - 1 pairs X of the free affinities of
+    id-Z2 and id-Z3 (a ternary herd) and of Z6 (with its nullary zero),
+    packed 1 to 3 (id-Z3: 2) coordinates of X at a time (2n - 1 is odd)
+    and with a 2-slot cache."""
+    cases = [(free_affinity(cyclic_ring(2)), 3), (free_affinity(cyclic_ring(3)), 2),
+             (cyclic_group(6), 3)]
+    for alg, most in cases:
+        for budget in (10_000, 5):
+            oracle = sequence(law_oracle.term_ops(alg, 2, budget))
+            for w, slots in [(1, 2), (2, algebra.CACHE_SLOTS), (most, 2)]:
+                with pytest.MonkeyPatch.context() as mp:
+                    packed(mp, alg, w, slots)
+                    assert sequence(_binary_terms(alg, budget)) == oracle, (alg.size, w, slots)
 
 
 def test_binary_terms_on_abelian_groups():
@@ -363,8 +403,13 @@ def test_both_lookup_paths_match_oracle(monkeypatch, code_bits):
     cases = [(groupoid, 3, 300), (cyclic_group(2), 5, 300),
              (isotope(4, stream), 3, 300), (isotope(5, stream), 3, 300)]
     for alg, arity, budget in cases:
-        assert sequence(iter_term_ops(alg, arity, budget)) == sequence(
-            law_oracle.term_ops(alg, arity, budget))
+        oracle = sequence(law_oracle.term_ops(alg, arity, budget))
+        assert sequence(iter_term_ops(alg, arity, budget)) == oracle
+        for w, slots in [(1, 2), (2, algebra.CACHE_SLOTS), (2, 2), (3, algebra.CACHE_SLOTS),
+                         (3, 2)]:
+            with pytest.MonkeyPatch.context() as mp:
+                packed(mp, alg, w, slots)
+                assert sequence(iter_term_ops(alg, arity, budget)) == oracle, (w, slots)
 
 
 def first_maltsev(term_ops, n):

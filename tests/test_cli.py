@@ -205,6 +205,14 @@ def test_clone_order_goldens(capsys, golden, argv):
     assert out == (DATA / golden).read_text()
 
 
+def test_stalling_groupoid_golden(capsys):
+    """The budget error of the stalling groupoid at budget 10,000, as the
+    engine before packed rows and the code cache printed it."""
+    code, out = run_cli(capsys, "maltsev-term", str(DATA / "stalling.alg"), "--budget", "10000")
+    assert code == 2
+    assert out == (DATA / "maltsev_term_stalling.golden").read_text()
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.alg"
     bad.write_text("algebra A { size 2 op f/2 = [0 1 1] }")
@@ -281,6 +289,39 @@ def test_clone_enumeration_peak_memory(tmp_path):
         code, max_rss_kb = child_peak_kb(*argv)
         assert code == 0
         assert max_rss_kb - parse_kb < 7.5 * 1024, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["maltsev-term", "--budget", "0"], ["maltsev-term", "--budget", "-5"],
+    ["abelianize", "--budget", "0"], ["roundtrip", "--budget", "-1"],
+    ["clone", "--budget", "0"], ["clone", "--arity", "-1"], ["clone", "--budget", "x"],
+])
+def test_bad_budget_and_arity_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], str(DATA / "z4.alg"), *argv[1:]])
+    assert exc.value.code == 64
+    assert capsys.readouterr().out == ""
+
+
+def test_clone_arity_zero_is_legal(capsys):
+    code, out = run_cli(capsys, "clone", str(DATA / "z4.alg"), "--arity", "0", "--budget", "1")
+    assert code == 0
+    assert json.loads(out)["clone"] == [{"arity": 0, "table": [0], "witness": "zero()"}]
+
+
+def test_non_decimal_digit_is_a_syntax_error(capsys, tmp_path):
+    """`3` and `³` are both digits to str.isdigit, but int() reads only the
+    first: the superscript gets a diagnostic at its line and column."""
+    text = (DATA / "z4.alg").read_text()
+    line = next(i for i, row in enumerate(text.splitlines()) if "3" in row)
+    col = text.splitlines()[line].index("3")
+    bad = tmp_path / "z4.alg"
+    bad.write_text(text.replace("3", "\u00b3", 1))
+    code, out = run_cli(capsys, "parse", str(bad))
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "code": "E_SYNTAX", "line": line + 1, "col": col + 1,
+        "message": f"E_SYNTAX at {line + 1}:{col + 1}: unexpected character '\u00b3'"}
 
 
 @pytest.mark.parametrize("flags", [["--threads", "2"], ["--json"]])

@@ -1,5 +1,7 @@
 """The law kernel against the brute-force loops of law_oracle."""
 
+import functools
+import inspect
 import itertools
 import random
 from pathlib import Path
@@ -16,7 +18,7 @@ from maltkit.algebra import Homomorphism, is_homomorphism
 from maltkit.catalog import two_element_semilattice
 from maltkit.errors import InvariantViolation
 from maltkit.extensions import FormExtension, crext_check
-from maltkit.laws import CHUNK, first_violation
+from maltkit.laws import CHUNK, _reads, first_violation
 from maltkit.monoid import (
     FiniteMonoid, MonoidExtension, NaturalSystemOnMonoid, check_linear_extension,
     constant_system, counterexample_monoid, trivial_extension,
@@ -125,6 +127,28 @@ def test_no_quantifiers_is_one_empty_tuple():
     laws = [("holds", lambda: np.True_), ("fails", lambda: np.False_), ("late", lambda: False)]
     assert first_violation((), laws) == ("fails", ())
     assert first_violation((), laws[:1]) is None
+
+
+def test_reads_agrees_with_signature():
+    """The code-object count of _reads against inspect.signature."""
+    def by_signature(holds, k):
+        params = inspect.signature(holds).parameters.values()
+        return k if any(p.kind is p.VAR_POSITIONAL for p in params) else len(params)
+
+    def with_defaults(a, b, c=0, d=1):
+        return a
+
+    class Law:
+        def holds(self, a, b):
+            return a
+
+    laws = [lambda: 0, lambda a: a, lambda a, b: a, lambda a, b, c: a,
+            lambda a, b, c, d: a, lambda a, b, c, d, e: a, lambda *args: 0,
+            lambda a, *rest: a, with_defaults, functools.partial(with_defaults, 1),
+            functools.partial(lambda *args: 0, 1), Law().holds]
+    expected = [0, 1, 2, 3, 4, 5, 6, 6, 4, 3, 6, 2]
+    assert [by_signature(holds, 6) for holds in laws] == expected
+    assert [_reads(holds, 6) for holds in laws] == expected
 
 
 # --- checks that report otherwise, against the former loops kept in law_oracle
