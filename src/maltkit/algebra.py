@@ -259,9 +259,19 @@ def eval_term(alg: FiniteAlgebra, term, args) -> int:
 
 
 def _projections(n: int, arity: int) -> np.ndarray:
-    """The projections of the given arity as rows over all argument tuples."""
+    """The projections of the given arity as rows over all argument tuples.
+
+    Raises CloneBudgetExceeded, having tried nothing, before allocating
+    rows whose bytes an int64 cannot count; that includes every row with
+    more entries than an int64 indexes.
+    """
     if arity < 0:
         raise InvariantViolation("clone-arity-nonnegative", arity)
+    # n**64 alone exceeds int64 for n >= 2, so huge arities cost nothing here
+    if 8 * arity * n ** min(arity, 64) > np.iinfo(np.int64).max:
+        raise CloneBudgetExceeded(
+            f"the projections of arity {arity} on {n} elements, {n}**{arity} entries each, "
+            "exceed an int64 index", count=0, round=0, combos_tried=0)
     return np.arange(n**arity) // n ** np.arange(arity - 1, -1, -1)[:, None] % n
 
 
@@ -301,19 +311,32 @@ def _term_blocks(alg: FiniteAlgebra, gens, budget: int, cols=None):
     coordinate of a subuniverse), so that every row is the table of a term
     operation on those coordinates.  Yields blocks (rows, term): rows is an
     array of the next distinct new rows in generation order, term(i) the
-    TermOp of rows[i].  The new rows of a run of candidates are found,
-    deduplicated and stored with array operations; a stored row keeps only
-    its parents (head, argument indices), and its witness term is expanded
-    when term() asks for it.  If a run holds more new rows than the budget
-    allows, the block of those that fit comes first and CloneBudgetExceeded
-    is raised on the next step.
+    TermOp of rows[i].
 
-    Rows are stored packed: each run of w coordinates, the last possibly
-    shorter, is one element of the power A^w, its base-n digits in
-    coordinate order (_packing picks w; w = 1 leaves rows as they are).
-    The tables of every operation on A^w, and on A^r for a shorter last
-    run, are built once, so a run of candidates costs one gather per packed
-    element; only the new rows are unpacked to rows of A.
+    A round applies each operation to the tuples of stored rows with an
+    argument from the previous round, in lexicographic order.  A tuple is
+    a prefix, all its arguments but the last, and a last argument; the last
+    arguments of a prefix start at 0 if the prefix has an argument from the
+    previous round, else at that round's first row, so the prefixes with one
+    start form ranges of consecutive prefix ids.  A run of candidates is as
+    many consecutive prefixes of one range as laws.CHUNK entries allow, each
+    with all its last arguments, or one prefix with a slice of them when it
+    alone has more.  A run is evaluated with one broadcast add of the
+    prefixes' part of the table indices to the last arguments' part and
+    one gather, in the smallest integer dtype that indexes the table.  Its
+    new rows are found, deduplicated and stored with array operations; a
+    stored row keeps only its parents (head, argument indices), read off
+    its position in the run, and its witness term is expanded when term()
+    asks for it.  If a run holds more new rows than the budget allows, the
+    block of those that fit comes first and CloneBudgetExceeded is raised
+    on the next step.
+
+    Rows are stored packed: every w consecutive coordinates, the last
+    stretch possibly shorter, are one element of the power A^w, its base-n
+    digits in coordinate order (_packing picks w; w = 1 leaves rows as they
+    are).  The tables of every operation on A^w, and on A^r for a shorter
+    last stretch, are built once and gathered from; only the new rows are
+    unpacked to rows of A.
 
     A candidate is looked up by an integer code of its packed elements at
     a set X of packed columns in the sorted codes of every stored row.
@@ -325,9 +348,10 @@ def _term_blocks(alg: FiniteAlgebra, gens, budget: int, cols=None):
     code, and every code hit is confirmed on the whole packed row.
 
     Given cols, candidates are evaluated and told apart on those columns
-    only, and a new row is evaluated whole once, from its parents, in runs
-    of at most laws.CHUNK entries.  The rows stay exact; the enumeration is
-    that of all columns if distinct rows of the closure differ on cols.
+    only, and a new row is evaluated whole once, from its parents, in
+    pieces of at most laws.CHUNK entries.  The rows stay exact; the
+    enumeration is that of all columns if distinct rows of the closure
+    differ on cols.
     """
     if budget <= 0:
         raise InvariantViolation("clone-budget-positive", budget)
@@ -344,7 +368,7 @@ def _term_blocks(alg: FiniteAlgebra, gens, budget: int, cols=None):
     length = gens.shape[1] if cols is None else len(cols)
     widest = max([op.arity for op in alg.ops] + [1])
     w = _packing(n, widest, length)
-    r = length % w  # the length of a shorter last run, if any
+    r = length % w  # the length of a shorter last stretch, if any
     G = -(-length // w)  # packed columns
     # the width of each packed column; one entry stands for all when they agree
     spans = np.array([w] * (G - 1) + [r] if r else [w])
@@ -364,19 +388,21 @@ def _term_blocks(alg: FiniteAlgebra, gens, budget: int, cols=None):
             return rows
         return np.take(digits, rows, axis=0).reshape(len(rows), G * w)[:, :length]
 
-    # (op, table on A, its weights, tables on A^w and A^r for a shorter last
-    # run, the weights of a packed column on them and its offset)
+    # (op, table on A, tables on A^w and A^r for a shorter last stretch, the
+    # weights of a packed column on them and its offset, in the smallest
+    # dtype that indexes those tables)
     ops = []
     for op in alg.ops:
         flat = np.asarray(op.table, dtype)
         if op.arity == 0:
-            ops.append((op, flat, None, None, None, None))
+            ops.append((op, flat, None, None, None))
             continue
         powers = _power_tables(flat, op.arity, n, w, packed)
-        ops.append((op, flat, n ** np.arange(op.arity - 1, 0, -1),
-                    np.concatenate([powers[-1], powers[r - 1]]) if r else powers[-1],
-                    n ** (spans * np.arange(op.arity - 1, 0, -1)[:, None]),
-                    np.where(spans == w, 0, len(powers[-1]))))
+        power = np.concatenate([powers[-1], powers[r - 1]]) if r else powers[-1]
+        index = np.min_scalar_type(len(power) - 1)
+        ops.append((op, flat, power,
+                    (n ** (spans * np.arange(op.arity - 1, 0, -1)[:, None])).astype(index),
+                    np.where(spans == w, 0, len(powers[-1])).astype(index)[None]))
     tables = np.empty((16, G), packed)  # packed rows (on cols, if given)
     full = np.empty((16 if cols is not None else 0, gens.shape[1]), dtype)  # whole rows, for cols
     heads = np.empty(16, np.intp)  # -1 for a projection, else the index of the operation
@@ -444,11 +470,25 @@ def _term_blocks(alg: FiniteAlgebra, gens, budget: int, cols=None):
             js = js[np.sort(np.unique(rows, return_index=True)[1])]
         return js
 
-    def emit(cand, head, prefix, start, tried, whole):
+    def whole(head, parents):
+        """The rows with the given head and parents (index arrays, one per
+        argument; a projection's is its variable) on every column."""
+        if head < 0:
+            return gens[parents[0]]
+        flat = ops[head][1]
+        if not parents:
+            return flat[0]
+        at = full[parents[0]].astype(np.int64)
+        for p in parents[1:]:
+            at *= n
+            at += full[p]
+        return np.take(flat, at)
+
+    def emit(cand, head, tried, parents):
         """Store and yield the new rows of the packed candidates cand.  Row
-        j has the parents prefix + (start + j,) and is argument tuple
-        tried + j + 1 of the enumeration (a projection is no tuple);
-        whole(js) evaluates the rows js of cand on every column."""
+        j is argument tuple tried + j + 1 of the enumeration (a projection
+        is no tuple), and parents(js) gives the parents of the rows js as
+        index arrays, one per argument."""
         nonlocal tables, full, heads, args, k
         js = fresh(cand)
         if not len(js):
@@ -460,13 +500,16 @@ def _term_blocks(alg: FiniteAlgebra, gens, budget: int, cols=None):
             heads, args, tables, full = (np.concatenate([a, a])
                                          for a in (heads, args, tables, full))
         tables[lo:k], heads[lo:k] = cand[js], head
-        args[lo:k, :len(prefix)], args[lo:k, len(prefix)] = prefix, start + js
+        pa = parents(js)
+        for i, p in enumerate(pa):
+            args[lo:k, i] = p
         if cols is None:
             block = unpack(tables[lo:k])
         else:
             step = max(1, laws.CHUNK // full.shape[1])
             for i in range(0, len(js), step):
-                full[lo + i:lo + i + len(js[i:i + step])] = whole(js[i:i + step])
+                full[lo + i:lo + i + len(js[i:i + step])] = whole(
+                    head, [p[i:i + step] for p in pa])
             block = full[lo:k]
         index(lo)
         if len(js):
@@ -487,28 +530,60 @@ def _term_blocks(alg: FiniteAlgebra, gens, budget: int, cols=None):
                 witnesses[i] = (op.name,) + tuple(witness(int(c)) for c in args[i, :op.arity])
         return witnesses[i]
 
-    yield from emit(pack(gens if cols is None else gens[:, cols]), -1, (), 0, 0,
-                    lambda js: gens[js])
+    def groups(m):
+        """The ranges [a, b) of prefix ids, lexicographic over m arguments
+        below snapshot, whose last arguments all start at one lo: 0 if the
+        prefix has an argument from the previous round, else prev."""
+        if m == 0:
+            return [(0, 1, prev)]
+        size, sub, out = snapshot ** (m - 1), groups(m - 1), []
+        for a, b, lo in [(c * size + a, c * size + b, lo) for c in range(prev)
+                         for a, b, lo in sub] + [(prev * size, snapshot * size, 0)]:
+            if out and out[-1][2] == lo:
+                a = out.pop()[0]
+            out.append((a, b, lo))
+        return out
+
+    def prefixes(first, count, m):
+        """The arguments of the prefixes first, ..., first + count - 1 of m
+        arguments, as m index arrays: the digits of first plus a range."""
+        out, carry = [], np.arange(count)
+        for _ in range(m):
+            first, digit = divmod(first, snapshot)
+            carry, d = np.divmod(digit + carry, snapshot)
+            out.append(d)
+        return out[::-1]
+
+    yield from emit(pack(gens if cols is None else gens[:, cols]), -1, 0, lambda js: [js])
     rows = max(1, laws.CHUNK // G)
     prev = 0  # first index of the previous round
     while True:
         rnd += 1
         snapshot = k
-        for h, (op, flat, weight, power, radix, offset) in enumerate(ops):
+        for h, (op, flat, power, radix, offset) in enumerate(ops):
             if op.arity == 0:
                 if rnd == 1:
-                    yield from emit(pack(np.full((1, length), flat[0])), h, (), 0, tried,
-                                    lambda js: np.full((len(js), full.shape[1]), flat[0], dtype))
+                    yield from emit(pack(np.full((1, length), flat[0])), h, tried,
+                                    lambda js: [])
                     tried += 1
                 continue
-            for prefix in itertools.product(range(snapshot), repeat=op.arity - 1):
-                base = offset + sum(c * tables[i] for c, i in zip(radix, prefix))
-                lo = 0 if prefix and max(prefix) >= prev else prev
-                for start in range(lo, snapshot, rows):
-                    cand = np.take(power, base + tables[start:min(start + rows, snapshot)])
-                    yield from emit(cand, h, prefix, start, tried, lambda js: np.take(
-                        flat, weight @ full[list(prefix)] + full[start + js]))
-                    tried += len(cand)
+            m = op.arity - 1
+            for a, b, lo in groups(m):
+                # a run is P prefixes times every last argument, or one
+                # prefix times a slice of them, within rows candidates
+                P = max(1, rows // max(1, snapshot - lo))
+                for first in range(a, b, P):
+                    pre = prefixes(first, min(P, b - first), m)
+                    base = sum((c * tables[d] for c, d in zip(radix, pre)), offset)
+                    for start in range(lo, snapshot, rows):
+                        last = tables[start:min(start + rows, snapshot)]
+                        L = len(last)
+                        # indexing casts the narrow indices a buffer at a
+                        # time, where np.take would copy them all to intp
+                        cand = power[(base[:, None] + last).reshape(-1, G)]
+                        yield from emit(cand, h, tried, lambda js: [
+                            d[js // L] for d in pre] + [start + js % L])
+                        tried += len(cand)
         if k == snapshot:
             return
         prev = snapshot
@@ -527,9 +602,12 @@ def iter_term_ops(alg: FiniteAlgebra, arity: int, budget: int = DEFAULT_CLONE_BU
 
     A round tries the tuples with an argument from the previous round.  A
     table's round never decreases with its index, so these are the tuples
-    whose largest index is at least the first index of that round.  Each
-    prefix of a tuple meets its last arguments in runs of at most laws.CHUNK
-    entries (or one table), so memory stays bounded whatever the clone.
+    whose largest index is at least the first index of that round.  The
+    engine evaluates them in runs of consecutive prefixes (all arguments
+    but the last), each with all its last arguments, or of one prefix with
+    a slice of them, at most laws.CHUNK entries (or one table) a run, so
+    memory stays bounded whatever the clone and the numpy calls per round
+    do not grow with the number of prefixes.
 
     The engine (_term_blocks) closes the projections at all n**arity
     argument tuples a block of new tables at a time, and this generator

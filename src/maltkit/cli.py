@@ -2,7 +2,7 @@
 
 Every verb reads spec files, runs one operation and prints deterministic
 JSON (default) or a pre-formatted text report (--golden).  Exit codes:
-0 success, 1 domain error, 2 budget exhausted, 64 usage error.
+0 success, 1 domain error, 2 budget or memory exhausted, 64 usage error.
 """
 
 from __future__ import annotations
@@ -196,6 +196,12 @@ def main(argv=None) -> int:
                        sort_keys=True) + "\n"
         )
         return 1
+    except MemoryError as exc:
+        sys.stdout.write(
+            json.dumps({"error": {"code": "MemoryError", "message": str(exc)}}, sort_keys=True)
+            + "\n"
+        )
+        return 2
 
 
 def _dispatch(args) -> int:

@@ -205,9 +205,10 @@ def find_maltsev_term(
     block ends where the budget runs out, so a Maltsev table that comes
     before that point is returned rather than the budget error.  On 3
     elements the engine packs the 27 entries of a ternary table into six
-    elements of A^5, evaluates a candidate with six gathers from the
-    operation's table on A^5, and looks its exact code up in a
-    direct-mapped cache before the sorted codes of all stored tables.
+    elements of A^5, evaluates a run of candidates, many argument prefixes
+    at once, with one broadcast add and one gather from the operation's
+    table on A^5, and looks each exact code up in a direct-mapped cache
+    before the sorted codes of all stored tables.
     """
     if alg.size == 0:
         raise EmptyTorsor("empty algebra has no Maltsev structure to witness")

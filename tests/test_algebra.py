@@ -370,6 +370,116 @@ def test_blocks_split_inside_one_prefix(monkeypatch):
     assert any(a[-1].witness[:-1] == b[0].witness[:-1] for a, b in zip(blocks, blocks[1:]))
 
 
+def depth(term):
+    return 0 if term[0] == "var" else 1 + max(map(depth, term[1:]), default=0)
+
+
+def engine_blocks(alg, arity, budget, cols=None):
+    """The engine's blocks, one per run with new tables, as lists of
+    TermOps, and the progress of the budget error that ends them, if any."""
+    blocks, progress = [], None
+    try:
+        for rows, term in _term_blocks(alg, _projections(alg.size, arity), budget, cols):
+            blocks.append([term(i) for i in range(len(rows))])
+    except CloneBudgetExceeded as exc:
+        progress = exc.count, exc.round, exc.combos_tried
+    return blocks, progress
+
+
+def run_shapes(blocks, binary):
+    """Which of three shapes of runs the blocks show.  A binary operation's
+    prefixes form two groups in a round: those from the previous round,
+    whose last arguments start at 0, and the older ones."""
+    def group(t):
+        return t.witness[0], depth(t.witness), depth(t.witness[1]) == depth(t.witness) - 1
+
+    shapes = set()
+    if any(len({t.witness[:-1] for t in b}) > 1 for b in blocks):
+        shapes.add("several prefixes")
+    for a, b in zip(blocks, blocks[1:]):
+        if a[-1].witness[:-1] == b[0].witness[:-1]:
+            shapes.add("ends inside a prefix")
+        elif a[-1].witness[0] == b[0].witness[0] == binary and group(a[-1]) == group(b[0]):
+            shapes.add("ends inside a group")
+    return shapes
+
+
+def axes(n):
+    """The 2n - 1 pairs (x, 0) and (0, y), where _binary_terms tells tables apart."""
+    return np.union1d(np.arange(n) * n, np.arange(n))
+
+
+def test_runs_of_several_prefixes_match_oracle(monkeypatch):
+    """A run is as many prefixes as laws.CHUNK allows, each with all its
+    last arguments, or one prefix with a slice of them.  On a 3-element
+    algebra with a unary, a binary and a ternary operation, at arities 1 to
+    3, and on the binary clones of Z6 and of the id-Z3 free affinity (a
+    ternary herd, three binary and three unary operations) on the pairs X:
+    with the default CHUNK a run holds several prefixes, and smaller ones
+    end runs inside a group of prefixes and inside a prefix.  The tables,
+    witnesses, order and budget progress are the oracle's."""
+    stream = random.Random(20020304)
+    mixed = FiniteAlgebra(3, tuple(
+        Operation(name, a, tuple(stream.randrange(3) for _ in range(3**a)))
+        for name, a in (("u", 1), ("b", 2), ("t", 3))))
+    affinity = free_affinity(cyclic_ring(3))
+    cases = [(mixed, arity, None, "b", budget) for arity in (1, 2, 3) for budget in (25, 60)]
+    cases += [(cyclic_group(6), 2, axes(6), "plus", budget) for budget in (20, 100)]
+    cases += [(affinity, 2, axes(9), "sc1", budget) for budget in (5, 100)]
+    shapes = set()
+    for chunk in (laws.CHUNK, 60, 20):
+        monkeypatch.setattr(laws, "CHUNK", chunk)
+        for alg, arity, cols, binary, budget in cases:
+            oracle = sequence(law_oracle.term_ops(alg, arity, budget))
+            if cols is None:
+                assert sequence(iter_term_ops(alg, arity, budget)) == oracle
+            else:
+                assert sequence(_binary_terms(alg, budget)) == oracle
+            blocks, progress = engine_blocks(alg, arity, budget, cols)
+            assert [(t.table, t.witness) for b in blocks for t in b] + (
+                [("budget", *progress)] if progress else []) == oracle
+            shapes |= run_shapes(blocks, binary)
+    assert shapes == {"several prefixes", "ends inside a prefix", "ends inside a group"}
+
+
+@pytest.mark.parametrize("alg, arity, cols, budget", [
+    (FiniteAlgebra(3, (Operation("f", 2, (0, 2, 2, 0, 1, 2, 1, 2, 2)),)), 3, None, 40),
+    (FiniteAlgebra(3, (Operation("f", 2, (0, 2, 2, 0, 1, 2, 1, 2, 2)),)), 3, None, 110),
+    (cyclic_group(6), 2, axes(6), 20),
+    (free_affinity(cyclic_ring(5)), 2, axes(25), 20),
+])
+def test_budget_runs_out_inside_a_run_of_several_prefixes(alg, arity, cols, budget):
+    """The table past the budget and the one before it come from one run,
+    which holds tables of several prefixes: the error carries the oracle's
+    round and argument tuples tried."""
+    blocks, _ = engine_blocks(alg, arity, 10 * budget, cols)
+    start = 0
+    while start + len(blocks[0]) <= budget:
+        start += len(blocks.pop(0))
+    assert start < budget and len({t.witness[:-1] for t in blocks[0]}) > 1
+    oracle = sequence(law_oracle.term_ops(alg, arity, budget))
+    assert oracle[-1][0] == "budget"
+    if cols is None:
+        assert sequence(iter_term_ops(alg, arity, budget)) == oracle
+    else:
+        assert sequence(_binary_terms(alg, budget)) == oracle
+
+
+def test_maltsev_hit_in_a_later_prefix_of_its_run():
+    """In Z3, Z4, Z5 and AffQ3 the first Maltsev table comes from a run of
+    several prefixes, and not from its first one."""
+    corpus = {alg.name: alg for alg, _ in maltsev_corpus()}
+    for name in ("Z3", "Z4", "Z5", "AffQ3"):
+        alg = corpus[name]
+        blocks, _ = engine_blocks(alg, 3, 150)
+        block = next(b for b in blocks if any(is_maltsev_table(t.table, alg.size) for t in b))
+        hit = next(t for t in block if is_maltsev_table(t.table, alg.size))
+        assert hit.witness[:-1] != block[0].witness[:-1], name
+        found = find_maltsev_term(alg, 150)
+        assert (found.table, found.witness) == first_maltsev(
+            law_oracle.term_ops(alg, 3, 150), alg.size)
+
+
 def test_budget_runs_out_inside_the_block_of_a_maltsev_row():
     """SubQ5's first Maltsev table is table 11 of the ternary clone, and
     tables 10 to 12 come from one run of last arguments.  With budget 12 the

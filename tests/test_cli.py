@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import maltkit
-from maltkit import cli
+from maltkit import algebra, cli
 from maltkit.catalog import dihedral_group
 from maltkit.cli import main
 from maltkit.errors import CloneBudgetExceeded
@@ -211,6 +211,44 @@ def test_stalling_groupoid_golden(capsys):
     code, out = run_cli(capsys, "maltsev-term", str(DATA / "stalling.alg"), "--budget", "10000")
     assert code == 2
     assert out == (DATA / "maltsev_term_stalling.golden").read_text()
+
+
+@pytest.mark.parametrize("golden, argv, exit_code", [
+    ("maltsev_term_deep_budget.golden", ["deep_budget.alg", "--budget", "10000"], 2),
+    ("maltsev_term_deep_witness.golden", ["deep_witness.alg"], 0),
+])
+def test_maltsev_term_goldens(capsys, golden, argv, exit_code):
+    """Two random 3-element groupoids, as the engine with one argument
+    prefix per run printed them: a budget error in round 4, which pins the
+    argument tuples tried, and a Maltsev term of depth 4, found in round 4."""
+    code, out = run_cli(capsys, "maltsev-term", str(DATA / argv[0]), *argv[1:])
+    assert code == exit_code
+    assert out == (DATA / golden).read_text()
+
+
+@pytest.mark.parametrize("spec, arity", [
+    ("semilattice.alg", 63), ("semilattice.alg", 64), ("deep_witness.alg", 10**9)])
+def test_clone_arity_past_int64_is_a_budget_error(capsys, spec, arity):
+    """The 2**63 and more argument tuples of the semilattice, or 3**(10**9)
+    of a groupoid, cannot be indexed in int64: a budget error that has
+    tried nothing, raised before any array is allocated and without
+    computing 3**(10**9)."""
+    code, out = run_cli(capsys, "clone", str(DATA / spec), "--arity", str(arity))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert (error["code"], error["count"], error["round"], error["combos_tried"]) == (
+        "CloneBudgetExceeded", 0, 0, 0)
+
+
+def test_memory_error_is_exit_2(capsys, monkeypatch):
+    """An allocation that fails is one JSON error line and exit code 2."""
+    def exhausted(n, arity):
+        raise MemoryError("Unable to allocate 8.00 TiB")
+
+    monkeypatch.setattr(algebra, "_projections", exhausted)
+    code, out = run_cli(capsys, "clone", str(DATA / "semilattice.alg"), "--arity", "40")
+    assert code == 2
+    assert out == '{"error": {"code": "MemoryError", "message": "Unable to allocate 8.00 TiB"}}\n'
 
 
 def test_parse_error_exit_code(capsys, tmp_path):
