@@ -48,26 +48,18 @@ def _relation(cong: Congruence) -> np.ndarray:
     return labels[:, None] == labels[None, :]
 
 
-def centralize(alg: FiniteAlgebra, R: Congruence, S: Congruence, p: TermOp,
-               extra_terms=()) -> bool:
+def centralize(alg: FiniteAlgebra, R: Congruence, S: Congruence, p: TermOp) -> bool:
     """True iff R and S centralise each other, witnessed through the term p.
 
-    The answer does not depend on the choice of Maltsev term; when
-    extra_terms are supplied their restrictions are asserted to agree with
-    p's on the mixed relation.
+    The answer does not depend on the choice of Maltsev term.
     """
     _require_maltsev(alg, p)
-    for q in extra_terms:
-        _require_maltsev(alg, q)
     n = alg.size
     r, s = _relation(R), _relation(S)
     # the mixed relation {(x,y,z) : x R y, y S z} in lexicographic order
     X, Y, Z = np.nonzero(r[:, :, None] & s[None, :, :])
     ptab = np.asarray(p.table).reshape((n,) * 3)
     pv = ptab[X, Y, Z]
-    for q in extra_terms:
-        if not np.array_equal(np.asarray(q.table).reshape((n,) * 3)[X, Y, Z], pv):
-            raise InternalError("Maltsev terms disagree on the mixed relation")
     if not (s[X, pv] & r[pv, Z]).all():
         return False
     return restriction_violation(alg, (X, Y, Z), pv, ptab) is None

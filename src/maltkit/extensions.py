@@ -109,69 +109,47 @@ def _last_lifts(surjection, size):
 
 
 def crext_check(ext: FormExtension) -> CrextReport:
-    """Singular-extension test: the ring kernel must square to zero and
-    annihilate the module kernel; on success the induced bimodule
+    """Singular-extension test: the ring kernel B must square to zero and
+    annihilate the module kernel K; on success the induced bimodule
     (B, K, delta = d' restricted, dot from the module action) is returned
-    with all its laws verified.  Well-definedness across lifts compares
-    the value at every lift with the value at the last lift."""
+    with all its laws verified.  The induced structures read each value at
+    the last lift; the constructor's checks (p a ring map, q additive and
+    equivariant, d q = p d') with these two make them well defined:
+
+    - s, s' over one r differ by s - s' in B, so (s - s') b and b (s - s')
+      lie in B B = 0 and (s - s') k in B K = 0: the left and right actions
+      on B and the action on K do not depend on the lift;
+    - x, x' over one m differ by x - x' in K, and b (x - x') lies in B K = 0:
+      nor does the pairing b.x;
+    - p(b.x) = p(b) q(x) = 0 q(x) = 0, so the pairing lands in K;
+    - p(d'(k)) = d(q(k)) = d(0) = 0, so delta lands in B.
+    """
     S, R = ext.total.ring, ext.base.ring
     N, M = ext.total.module, ext.base.module
-    P, Q = np.asarray(ext.ring_map), np.asarray(ext.module_map)
     sadd, smul = np.reshape(S.add, (S.size, S.size)), np.reshape(S.mul, (S.size, S.size))
     nadd, nact = np.reshape(N.add, (N.size, N.size)), np.reshape(N.act, (S.size, N.size))
     D = np.asarray(ext.total.d)
     bk, kk = np.asarray(ext.ring_kernel()), np.asarray(ext.module_kernel())
     lr, lm = _last_lifts(ext.ring_map, R.size), _last_lifts(ext.module_map, M.size)
-
-    def failure(sizes, witness, *laws):
-        hit = first_violation(sizes, laws)
+    for sizes, kernels, law, holds in (
+        ((bk.size, bk.size), (bk, bk), "ring kernel does not square to zero",
+         lambda i, j: smul[bk[i], bk[j]] == S.zero),
+        ((bk.size, kk.size), (bk, kk), "ring kernel does not annihilate the module kernel",
+         lambda i, j: nact[bk[i], kk[j]] == N.zero),
+    ):
+        hit = first_violation(sizes, [(law, holds)])
         if hit is not None:
-            law, at = hit
-            return CrextReport(False, law, None, tuple(int(v) for v in witness(*at)))
-
-    bad = failure((bk.size, bk.size), lambda i, j: (bk[i], bk[j]), (
-        "ring kernel does not square to zero",
-        lambda i, j: smul[bk[i], bk[j]] == S.zero,
-    )) or failure((bk.size, kk.size), lambda i, j: (bk[i], kk[j]), (
-        "ring kernel does not annihilate the module kernel",
-        lambda i, j: nact[bk[i], kk[j]] == N.zero,
-    ))
-    if bad:
-        return bad
-    # induced structures, with well-definedness checked across lifts
+            i, j = hit[1]
+            return CrextReport(False, law, None, (int(kernels[0][i]), int(kernels[1][j])))
     bslot, kslot = np.full(S.size, -1), np.full(N.size, -1)
     bslot[bk], kslot[kk] = np.arange(bk.size), np.arange(kk.size)
     flat = lambda a: tuple(a.ravel().tolist())
     bgrp = AbelianGroup(bk.size, flat(bslot[sadd[np.ix_(bk, bk)]]))
-    bad = failure((R.size, bk.size, S.size), lambda r, i, s: (r, bk[i]), (
-        "left action ill-defined",
-        lambda r, i, s: (P[s] != r) | (smul[s, bk[i]] == smul[lr[r], bk[i]]),
-    )) or failure((bk.size, R.size, S.size), lambda i, r, s: (bk[i], r), (
-        "right action ill-defined",
-        lambda i, r, s: (P[s] != r) | (smul[bk[i], s] == smul[bk[i], lr[r]]),
-    )) or failure((R.size, kk.size, S.size), lambda r, i, s: (r, kk[i]), (
-        "kernel module action ill-defined",
-        lambda r, i, s: (P[s] != r) | (nact[s, kk[i]] == nact[lr[r], kk[i]]),
-    ))
-    if bad:
-        return bad
     try:
         kmod = LeftModule(R, kk.size, flat(kslot[nadd[np.ix_(kk, kk)]]),
                           flat(kslot[nact[lr[:, None], kk]]))
     except InvariantViolation as exc:
         return CrextReport(False, f"kernel module law fails: {exc}", None, None)
-    bad = failure((kk.size,), lambda i: (kk[i],), (
-        "delta leaves the ring kernel", lambda i: P[D[kk[i]]] == R.zero,
-    )) or failure((bk.size, M.size, N.size), lambda i, m, x: (bk[i], m), (
-        "pairing ill-defined",
-        lambda i, m, x: (Q[x] != m) | (nact[bk[i], x] == nact[bk[i], lm[m]]),
-    ), (
-        # at the last lift, so that a pairing that is also ill-defined fails first
-        "pairing leaves the module kernel",
-        lambda i, m, x: (x != lm[m]) | (Q[nact[bk[i], x]] == M.zero),
-    ))
-    if bad:
-        return bad
     try:
         bim = DBimodule(
             ext.base, bgrp, flat(bslot[smul[lr[:, None], bk]]),

@@ -9,6 +9,7 @@ variant is what a torsor under a constant group looks like fibrewise.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,23 +101,25 @@ class TernaryTable:
 
     @classmethod
     def from_entries(cls, size, kind, base, mapping, name: str = "") -> "TernaryTable":
-        """Build from a triple->value mapping which must cover the domain exactly."""
-        if kind == FULL:
-            dom = list(itertools.product(range(size), repeat=3))
-        else:
-            dummy = object.__new__(cls)
-            object.__setattr__(dummy, "size", size)
-            object.__setattr__(dummy, "kind", kind)
-            object.__setattr__(dummy, "base", tuple(base))
-            dom = list(dummy.domain())
-        extra = set(mapping) - set(dom)
-        if extra:
-            raise DomainError(f"entries outside domain: {sorted(extra)[:3]}")
-        missing = [t for t in dom if t not in mapping]
-        if missing:
-            raise InvariantViolation("tern-domain-covered", missing[:3])
-        entries = tuple(mapping[t] for t in dom)
-        return cls(size, kind, None if kind == FULL else tuple(base), entries, name)
+        """Build from a triple->value mapping which must cover the domain
+        exactly; the first entry outside it is the witness of the law
+        'tern-entry-domain'.  Coverage is decided by counting, and only the
+        first three missing triples are looked for."""
+        b = None if kind == FULL else tuple(base)
+        for x, y, z in mapping:
+            if not (0 <= min(x, y, z) and max(x, y, z) < size and (
+                    kind == FULL or b[x] == b[y] and (kind == MIXED or b[y] == b[z]))):
+                raise InvariantViolation("tern-entry-domain", (x, y, z))
+        fibres = Counter(b).values() if b is not None else ()
+        count = (max(size, 0) ** 3 if kind == FULL else
+                 sum(f * f * (size if kind == MIXED else f) for f in fibres))
+        shape = object.__new__(cls)
+        for attr, value in (("size", size), ("kind", kind), ("base", b)):
+            object.__setattr__(shape, attr, value)
+        if len(mapping) < count:
+            missing = (t for t in shape.domain() if t not in mapping)
+            raise InvariantViolation("tern-domain-covered", list(itertools.islice(missing, 3)))
+        return cls(size, kind, b, tuple(mapping[t] for t in shape.domain()), name)
 
     def to_json(self) -> dict:
         out = {"name": self.name, "size": self.size, "kind": self.kind}
@@ -312,12 +315,13 @@ def _coequaliser_group(m: TernaryTable, base) -> TorsorGroup:
     )
 
 
-def torsor_to_group(m: TernaryTable, require_commutative: bool = False) -> TorsorGroup:
+def torsor_to_group(m: TernaryTable) -> TorsorGroup:
     """Coequalise (x,y) ~ (m(x,y,z), z) and read off the acting group.
 
     Sum of classes is (x-y)+(z-t) = m(x,y,z)-t, the inverse of x-y is y-x,
     and the class of (x,y) acts by z -> m(x,y,z).  Every identity is
-    re-verified exhaustively before the group is returned.
+    re-verified exhaustively before the group is returned, and a commutative
+    table must give an abelian group.
     """
     n = m.size
     if n <= 0:
@@ -328,11 +332,8 @@ def torsor_to_group(m: TernaryTable, require_commutative: bool = False) -> Torso
         raise NotAHerd("table fails the Maltsev identities")
     if not check_associative(m):
         raise NotAHerd("table fails associativity")
-    commutative = check_commutative(m)
-    if require_commutative and not commutative:
-        raise NotAHerd("table is not commutative")
     group = _coequaliser_group(m, (0,) * n)
-    if require_commutative and commutative and not group.abelian:
+    if not group.abelian and check_commutative(m):
         raise InternalError("commutative table produced a non-abelian group")
     return group
 

@@ -1,24 +1,49 @@
 """Line-oriented spec files for every entity the toolkit computes with.
 
-The grammar is deliberately tiny: named blocks of `key value` clauses with
-flat integer tables in brackets.  Diagnostics carry a stable code plus the
-line/column of the offending token:
+A spec file is a sequence of entities: a keyword, a new NAME, for some kinds
+`on REF` or `over REF` naming an earlier entity, and clauses in braces.  A
+clause is `word INT`, `word REF` or `word = [INT ..]`, a flat row-major
+table; `#` comments run to the end of the line.  The grammar, with n the
+size and each table's length in its brackets:
 
-    algebra Z2 { size 2 op plus/2 = [0 1 1 0] }
-    cong C on Z2 { blocks: 0 | 1 }
-    tern T { size 2 table: (0 0 0 -> 0) ... }
-    monoid M { size 2 unit 0 mul = [0 1 1 1] }
-    natsys D on M { group 0 { size 1 add = [0] } ... left 0 1 = [..] right 1 0 = [..] }
-    ring R { size 2 add = [0 1 1 0] mul = [0 0 0 1] }
-    module M2 over R { size 2 add = [0 1 1 0] act = [0 0 0 1] }
-    form F on M2 { d = [0 1] }
-    bimodule W on F { bsize .. badd = [..] bleft = [..] bright = [..]
-                      ksize .. kadd = [..] kact = [..] delta = [..] dot = [..] }
-    extension E { total MT base M system D proj = [..] act 0 = [..] }
-    crext X { total F2 base F pmap = [..] qmap = [..] }
+    algebra NAME { size n (op NAME/k = [n**k])* }
+    cong NAME on ALGEBRA { blocks: INT* (| INT*)* }
+    tern NAME { size n [base [n] fibered|mixed] table: ((INT INT INT -> INT))* }
+    monoid NAME { size n unit INT mul = [n*n] }
+    natsys NAME on MONOID { (group x { size g add = [g*g] }
+                             | left b x = [..] | right x b = [..])* }
+    ring NAME { size n add = [n*n] mul = [n*n] }
+    module NAME over RING { size n add = [n*n] act = [r*n] }
+    form NAME on MODULE { d = [m] }
+    bimodule NAME on FORM { bsize b badd = [b*b] bleft = [r*b] bright = [b*r]
+                            ksize k kadd = [k*k] kact = [r*k] delta = [k] dot = [b*m] }
+    extension NAME { total MONOID base MONOID system NATSYS proj = [|total|] (act b = [..])* }
+    crext NAME { total FORM base FORM pmap = [r] qmap = [m] }
 
-Definitions must precede uses.  Every entity runs its full invariant suite
-at load time; failures surface as E_INVARIANT diagnostics.
+r and m are the sizes of the ring and the module behind the REF (for a
+crext, behind the total FORM).  A tern has one entry per triple of its
+domain: the cube, or with `base p` the triples with p(x) = p(y) = p(z)
+(fibered) or p(x) = p(y) (mixed).  A natsys needs a group for every element
+x of the monoid and a left and a right action for every pair; an omitted
+action of the unit is the identity.  An extension needs an action for every
+element b of the base.
+
+Definitions must precede uses, and every entity runs its full invariant
+suite at load time.  A failure is a Diagnostic with a stable code and the
+line and column of a token:
+
+    E_SYNTAX     a token the grammar does not allow there, at that token;
+                 also a repeated tern triple, at its `(`
+    E_TABLE_LEN  a table whose length is not the one its clause fixes, at `[`
+    E_RANGE      an integer outside the 64-bit range, at the integer; an
+                 algebra table entry outside 0..n-1, at `[`; a tern entry
+                 whose triple is outside the declared domain, at its `(`
+    E_DUP_NAME   a NAME already given to an entity of any kind
+    E_DANGLING   a REF that names no earlier entity of its kind
+    E_INVARIANT  a law the entity fails, at its NAME (a natsys group's, at
+                 its `group`): a constructor's law with its witness, a
+                 partition that is not a congruence, or a missing natsys
+                 group or action or extension action
 """
 
 from __future__ import annotations
@@ -38,18 +63,11 @@ from .rings import DBimodule, FiniteRing, LeftModule, LinearForm
 
 class Diagnostic(MaltkitError):
     def __init__(self, code: str, line: int, col: int, message: str):
-        self.code = code
-        self.line = line
-        self.col = col
+        self.code, self.line, self.col = code, line, col
         super().__init__(f"{code} at {line}:{col}: {message}")
 
     def to_json(self):
-        return {
-            "code": self.code,
-            "line": self.line,
-            "col": self.col,
-            "message": str(self),
-        }
+        return {"code": self.code, "line": self.line, "col": self.col, "message": str(self)}
 
 
 @dataclass
@@ -65,6 +83,9 @@ class Token:
 # identifier if it starts with a letter or "_") or anything but a blank.
 _TOKEN = re.compile(r"(?P<punct>->|[{}\[\]()=|/:,])|(?P<int>-?\d+)|(?P<ident>\w+)"
                     r"|(?P<bad>[^ \t\r])")
+# Every table is an int64 array, so a literal outside int64 is never usable.
+_INT64 = range(-2**63, 2**63)
+_PRINTABLE = 10**4300
 
 
 def _lex(text: str) -> list[Token]:
@@ -81,6 +102,17 @@ def _lex(text: str) -> list[Token]:
     return tokens
 
 
+def _table_len(size: int, arity: int):
+    """size**arity, the length of an operation table, if it has at most 4300
+    digits (str() prints no more); else its text, which no length equals.
+    size**arity >= 2**(arity * (bits - 1)) and 10**4300 < 2**14285, so a
+    value past that bound is not computed, nor 0 to a negative power."""
+    if size >= 2 and arity * (size.bit_length() - 1) > 14285 or size == 0 > arity:
+        return f"{size}**{arity}"
+    n = size**arity
+    return n if n < _PRINTABLE else f"{size}**{arity}"
+
+
 @dataclass
 class SpecDocument:
     algebras: dict = field(default_factory=dict)
@@ -95,18 +127,14 @@ class SpecDocument:
     extensions: dict = field(default_factory=dict)
     crexts: dict = field(default_factory=dict)
 
-    def all_names(self):
-        for kind in _KINDS:
-            yield from getattr(self, kind)
-
     def summary(self):
-        return {kind: sorted(getattr(self, kind)) for kind in _KINDS}
+        return {kind: sorted(getattr(self, kind)) for kind in _ENTITIES.values()}
 
 
-_KINDS = (
-    "algebras", "congruences", "terns", "monoids", "systems",
-    "rings", "modules", "forms", "bimodules", "extensions", "crexts",
-)
+# entity keyword -> the SpecDocument field that keeps its entities
+_ENTITIES = {"algebra": "algebras", "cong": "congruences", "tern": "terns", "monoid": "monoids",
+             "natsys": "systems", "ring": "rings", "module": "modules", "form": "forms",
+             "bimodule": "bimodules", "extension": "extensions", "crext": "crexts"}
 
 
 class _Parser:
@@ -142,47 +170,78 @@ class _Parser:
         t = self.expect_ident(f"keyword {word!r}")
         if t.text != word:
             self.err("E_SYNTAX", t, f"expected {word!r}, found {t.text!r}")
-        return t
 
-    def expect_int(self) -> tuple[int, Token]:
+    def expect_int(self) -> int:
         t = self.next()
         if t.kind != "int":
             self.err("E_SYNTAX", t, f"expected integer, found {t.text!r}")
-        return int(t.text), t
+        return self.int64(t) if len(t.text) > 18 else int(t.text)
 
-    def at_keyword(self, word) -> bool:
-        t = self.peek()
-        return t.kind == "ident" and t.text == word
+    def int64(self, tok) -> int:
+        # the digit count first: int() refuses over 4300 digits
+        if len(tok.text.lstrip("-0")) > 19 or int(tok.text) not in _INT64:
+            self.err("E_RANGE", tok, "integer outside the 64-bit range")
+        return int(tok.text)
 
-    def table(self, expected_len=None) -> tuple[list[int], Token]:
+    def at(self, text) -> bool:
+        """Whether the next token is this keyword or punctuation."""
+        return self.tokens[self.pos].text == text
+
+    def ints(self) -> tuple[int, ...]:
+        """The run of integer tokens at the cursor."""
+        start = end = self.pos
+        while self.tokens[end].kind == "int":
+            end += 1
+        self.pos = end
+        texts = [t.text for t in self.tokens[start:end]]
+        if texts and max(map(len, texts)) > 18:
+            return tuple(map(self.int64, self.tokens[start:end]))
+        return tuple(map(int, texts))
+
+    def table(self, n=None) -> tuple[int, ...]:
+        """`[INT ..]` with n entries, or any number if n is None.  n may be
+        the text of a length too large to compute, which no table has."""
         open_tok = self.expect_punct("[")
-        values = []
-        while self.peek().kind == "int":
-            values.append(int(self.next().text))
+        values = self.ints()
         self.expect_punct("]")
-        if expected_len is not None and len(values) != expected_len:
-            self.err(
-                "E_TABLE_LEN",
-                open_tok,
-                f"table has {len(values)} entries, expected {expected_len}",
-            )
-        return values, open_tok
+        if n is not None and len(values) != n:
+            self.err("E_TABLE_LEN", open_tok, f"table has {len(values)} entries, expected {n}")
+        return values
 
-    def fresh_name(self, tok):
-        if tok.text in set(self.doc.all_names()):
+    def header(self, what, link=None, kind=None):
+        """`NAME [link REF] {`: the NAME token, the REF token and its entity."""
+        tok = self.expect_ident(f"{what} name")
+        if any(tok.text in getattr(self.doc, k) for k in _ENTITIES.values()):
             self.err("E_DUP_NAME", tok, f"name {tok.text!r} already defined")
-        return tok.text
+        ref = self.ref(link, kind) if link else (None, None)
+        self.expect_punct("{")
+        return (tok, *ref)
 
-    def resolve(self, store, tok, kind):
-        entry = getattr(self.doc, store).get(tok.text)
-        if entry is None:
+    def number(self, word) -> int:
+        """`word INT`."""
+        self.expect_keyword(word)
+        return self.expect_int()
+
+    def clause(self, word, n=None) -> tuple[int, ...]:
+        """`word = [..]` with n entries."""
+        self.expect_keyword(word)
+        self.expect_punct("=")
+        return self.table(n)
+
+    def ref(self, word, kind):
+        """`word REF` naming an entity of the kind, kept in the document field
+        kind + "s": the REF token and the entity."""
+        self.expect_keyword(word)
+        tok = self.expect_ident(f"{kind} name")
+        entity = getattr(self.doc, kind + "s").get(tok.text)
+        if entity is None:
             self.err("E_DANGLING", tok, f"unknown {kind} {tok.text!r}")
-        return entry
+        return tok, entity
 
     def build(self, tok, ctor, *args, **kwargs):
         try:
             return ctor(*args, **kwargs)
-        except InvariantViolation as exc:
+        except MaltkitError as exc:
             self.err("E_INVARIANT", tok, str(exc))
 
     # --- entity parsers ---------------------------------------------------
@@ -190,339 +249,186 @@ class _Parser:
     def parse_document(self) -> SpecDocument:
         while self.peek().kind != "eof":
             t = self.expect_ident("entity keyword")
-            handler = getattr(self, f"parse_{t.text}", None)
-            if handler is None:
+            if t.text not in _ENTITIES:
                 self.err("E_SYNTAX", t, f"unknown entity kind {t.text!r}")
-            handler(t)
+            tok, entity = getattr(self, f"parse_{t.text}")()
+            getattr(self.doc, _ENTITIES[t.text])[tok.text] = entity
         return self.doc
 
-    def parse_algebra(self, kw):
-        name_tok = self.expect_ident("algebra name")
-        name = self.fresh_name(name_tok)
-        self.expect_punct("{")
-        self.expect_keyword("size")
-        size, _ = self.expect_int()
+    def parse_algebra(self):
+        tok = self.header("algebra")[0]
+        size = self.number("size")
         ops = []
-        while self.at_keyword("op"):
+        while self.at("op"):
             self.next()
             op_name = self.expect_ident("operation name").text
             self.expect_punct("/")
-            arity, _ = self.expect_int()
+            arity = self.expect_int()
             self.expect_punct("=")
-            values, tok = self.table(size**arity if size >= 0 else None)
+            open_tok = self.peek()
+            values = self.table(_table_len(size, arity) if size >= 0 else None)
             for v in values:
                 if not 0 <= v < size:
-                    self.err("E_RANGE", tok, f"table entry {v} outside 0..{size - 1}")
-            ops.append(Operation(op_name, arity, tuple(values)))
+                    self.err("E_RANGE", open_tok, f"table entry {v} outside 0..{size - 1}")
+            ops.append(Operation(op_name, arity, values))
         self.expect_punct("}")
-        alg = self.build(name_tok, FiniteAlgebra, size, tuple(ops), name=name)
-        self.doc.algebras[name] = alg
+        return tok, self.build(tok, FiniteAlgebra, size, tuple(ops), name=tok.text)
 
-    def parse_cong(self, kw):
-        name_tok = self.expect_ident("congruence name")
-        name = self.fresh_name(name_tok)
-        self.expect_keyword("on")
-        alg_tok = self.expect_ident("algebra name")
-        alg = self.resolve("algebras", alg_tok, "algebra")
-        self.expect_punct("{")
+    def parse_cong(self):
+        tok, alg_tok, alg = self.header("congruence", "on", "algebra")
         self.expect_keyword("blocks")
         self.expect_punct(":")
-        blocks = [[]]
-        while True:
-            t = self.peek()
-            if t.kind == "int":
-                blocks[-1].append(int(self.next().text))
-            elif t.kind == "punct" and t.text == "|":
-                self.next()
-                blocks.append([])
-            else:
-                break
-        close = self.expect_punct("}")
-        cong = self.build(name_tok, Congruence.from_blocks, alg.size, blocks)
+        blocks = [self.ints()]
+        while self.at("|"):
+            self.next()
+            blocks.append(self.ints())
+        self.expect_punct("}")
+        cong = self.build(tok, Congruence.from_blocks, alg.size, blocks)
         witness = congruence_violation(alg, cong)
         if witness is not None:
-            self.err(
-                "E_INVARIANT",
-                name_tok,
-                f"partition is not compatible with {alg.name or alg_tok.text}: "
-                f"elements {witness[1]} and {witness[2]} split under a translation",
-            )
-        self.doc.congruences[name] = (alg_tok.text, cong)
+            self.err("E_INVARIANT", tok,
+                     f"partition is not compatible with {alg.name or alg_tok.text}: "
+                     f"elements {witness[1]} and {witness[2]} split under a translation")
+        return tok, (alg_tok.text, cong)
 
-    def parse_tern(self, kw):
-        name_tok = self.expect_ident("table name")
-        name = self.fresh_name(name_tok)
-        self.expect_punct("{")
-        self.expect_keyword("size")
-        size, _ = self.expect_int()
-        kind = FULL
-        base = None
-        if self.at_keyword("base"):
+    def parse_tern(self):
+        tok = self.header("table")[0]
+        size = self.number("size")
+        kind, base = FULL, None
+        if self.at("base"):
             self.next()
-            base, _ = self.table(size)
+            base = self.table(size)
             kind_tok = self.expect_ident("domain kind")
             if kind_tok.text not in (FIBERED, MIXED):
                 self.err("E_SYNTAX", kind_tok, "expected 'fibered' or 'mixed'")
             kind = kind_tok.text
         self.expect_keyword("table")
         self.expect_punct(":")
-        mapping = {}
-        while self.peek().kind == "punct" and self.peek().text == "(":
-            open_tok = self.next()
-            x, _ = self.expect_int()
-            y, _ = self.expect_int()
-            z, _ = self.expect_int()
+        mapping, opens = {}, []
+        while self.at("("):
+            opens.append(self.next())
+            triple = (self.expect_int(), self.expect_int(), self.expect_int())
             self.expect_punct("->")
-            v, _ = self.expect_int()
+            v = self.expect_int()
             self.expect_punct(")")
-            if (x, y, z) in mapping:
-                self.err("E_SYNTAX", open_tok, f"duplicate entry for {(x, y, z)}")
-            mapping[(x, y, z)] = v
+            if triple in mapping:
+                self.err("E_SYNTAX", opens[-1], f"duplicate entry for {triple}")
+            mapping[triple] = v
         self.expect_punct("}")
-        tern = self.build(
-            name_tok, TernaryTable.from_entries, size, kind, base, mapping, name
-        )
-        self.doc.terns[name] = tern
+        try:
+            return tok, TernaryTable.from_entries(size, kind, base, mapping, tok.text)
+        except InvariantViolation as exc:
+            if exc.law != "tern-entry-domain":
+                self.err("E_INVARIANT", tok, str(exc))
+            self.err("E_RANGE", opens[list(mapping).index(exc.witness)],
+                     f"entry {exc.witness} outside the declared domain")
 
-    def parse_monoid(self, kw):
-        name_tok = self.expect_ident("monoid name")
-        name = self.fresh_name(name_tok)
-        self.expect_punct("{")
-        self.expect_keyword("size")
-        size, _ = self.expect_int()
-        self.expect_keyword("unit")
-        unit, _ = self.expect_int()
-        self.expect_keyword("mul")
-        self.expect_punct("=")
-        mul, _ = self.table(size * size)
+    def parse_monoid(self):
+        tok = self.header("monoid")[0]
+        size, unit = self.number("size"), self.number("unit")
+        mul = self.clause("mul", size * size)
         self.expect_punct("}")
-        self.doc.monoids[name] = self.build(
-            name_tok, FiniteMonoid, size, unit, tuple(mul), name=name
-        )
+        return tok, self.build(tok, FiniteMonoid, size, unit, mul, name=tok.text)
 
-    def parse_natsys(self, kw):
-        name_tok = self.expect_ident("system name")
-        name = self.fresh_name(name_tok)
-        self.expect_keyword("on")
-        mon_tok = self.expect_ident("monoid name")
-        mon = self.resolve("monoids", mon_tok, "monoid")
-        self.expect_punct("{")
-        groups: dict[int, AbelianGroup] = {}
-        left: dict[tuple[int, int], tuple] = {}
-        right: dict[tuple[int, int], tuple] = {}
+    def parse_natsys(self):
+        tok, _, mon = self.header("system", "on", "monoid")
+        groups, actions = {}, {}
         while True:
-            if self.at_keyword("group"):
-                g_tok = self.next()
-                x, _ = self.expect_int()
+            t = self.peek()
+            if self.at("group"):
+                x = self.number("group")
                 self.expect_punct("{")
-                self.expect_keyword("size")
-                gsize, _ = self.expect_int()
-                self.expect_keyword("add")
-                self.expect_punct("=")
-                add, _ = self.table(gsize * gsize)
+                gsize = self.number("size")
+                add = self.clause("add", gsize * gsize)
                 self.expect_punct("}")
-                groups[x] = self.build(g_tok, AbelianGroup, gsize, tuple(add))
-            elif self.at_keyword("left"):
+                groups[x] = self.build(t, AbelianGroup, gsize, add)
+            elif self.at("left") or self.at("right"):
                 self.next()
-                b, _ = self.expect_int()
-                x, _ = self.expect_int()
+                key = (t.text, self.expect_int(), self.expect_int())
                 self.expect_punct("=")
-                values, _ = self.table()
-                left[(b, x)] = tuple(values)
-            elif self.at_keyword("right"):
-                self.next()
-                x, _ = self.expect_int()
-                b, _ = self.expect_int()
-                self.expect_punct("=")
-                values, _ = self.table()
-                right[(x, b)] = tuple(values)
+                actions[key] = self.table()
             else:
                 break
         self.expect_punct("}")
         n = mon.size
         for x in range(n):
             if x not in groups:
-                self.err("E_INVARIANT", name_tok, f"missing group for element {x}")
-        ident = lambda x: tuple(range(groups[x].size))
-        left_rows = tuple(
-            tuple(left.get((b, x), ident(x) if b == mon.unit else None) or self.err(
-                "E_INVARIANT", name_tok, f"missing left action {b} {x}") for x in range(n))
-            for b in range(n)
-        )
-        right_rows = tuple(
-            tuple(right.get((x, b), ident(x) if b == mon.unit else None) or self.err(
-                "E_INVARIANT", name_tok, f"missing right action {x} {b}") for b in range(n))
-            for x in range(n)
-        )
-        self.doc.systems[name] = self.build(
-            name_tok,
-            NaturalSystemOnMonoid,
-            mon,
-            tuple(groups[x] for x in range(n)),
-            left_rows,
-            right_rows,
-            name=name,
-        )
+                self.err("E_INVARIANT", tok, f"missing group for element {x}")
 
-    def parse_ring(self, kw):
-        name_tok = self.expect_ident("ring name")
-        name = self.fresh_name(name_tok)
-        self.expect_punct("{")
-        self.expect_keyword("size")
-        size, _ = self.expect_int()
-        self.expect_keyword("add")
-        self.expect_punct("=")
-        add, _ = self.table(size * size)
-        self.expect_keyword("mul")
-        self.expect_punct("=")
-        mul, _ = self.table(size * size)
+        def action(side, i, j):
+            # `left b x` or `right x b`; the unit acts as the identity unless given
+            b, x = (i, j) if side == "left" else (j, i)
+            unit = tuple(range(groups[x].size)) if b == mon.unit else None
+            return actions.get((side, i, j), unit) or self.err(
+                "E_INVARIANT", tok, f"missing {side} action {i} {j}")
+
+        rows = {side: tuple(tuple(action(side, i, j) for j in range(n)) for i in range(n))
+                for side in ("left", "right")}
+        return tok, self.build(
+            tok, NaturalSystemOnMonoid, mon, tuple(groups[x] for x in range(n)),
+            rows["left"], rows["right"], name=tok.text)
+
+    def parse_ring(self):
+        tok = self.header("ring")[0]
+        size = self.number("size")
+        add, mul = self.clause("add", size * size), self.clause("mul", size * size)
         self.expect_punct("}")
-        self.doc.rings[name] = self.build(
-            name_tok, FiniteRing.from_tables, tuple(add), tuple(mul), name
-        )
+        return tok, self.build(tok, FiniteRing.from_tables, add, mul, tok.text)
 
-    def parse_module(self, kw):
-        name_tok = self.expect_ident("module name")
-        name = self.fresh_name(name_tok)
-        self.expect_keyword("over")
-        ring_tok = self.expect_ident("ring name")
-        ring = self.resolve("rings", ring_tok, "ring")
-        self.expect_punct("{")
-        self.expect_keyword("size")
-        size, _ = self.expect_int()
-        self.expect_keyword("add")
-        self.expect_punct("=")
-        add, _ = self.table(size * size)
-        self.expect_keyword("act")
-        self.expect_punct("=")
-        act, _ = self.table(ring.size * size)
+    def parse_module(self):
+        tok, _, ring = self.header("module", "over", "ring")
+        size = self.number("size")
+        add, act = self.clause("add", size * size), self.clause("act", ring.size * size)
         self.expect_punct("}")
-        self.doc.modules[name] = self.build(
-            name_tok, LeftModule, ring, size, tuple(add), tuple(act), name=name
-        )
+        return tok, self.build(tok, LeftModule, ring, size, add, act, name=tok.text)
 
-    def parse_form(self, kw):
-        name_tok = self.expect_ident("form name")
-        name = self.fresh_name(name_tok)
-        self.expect_keyword("on")
-        mod_tok = self.expect_ident("module name")
-        module = self.resolve("modules", mod_tok, "module")
-        self.expect_punct("{")
-        self.expect_keyword("d")
-        self.expect_punct("=")
-        d, _ = self.table(module.size)
+    def parse_form(self):
+        tok, _, module = self.header("form", "on", "module")
+        d = self.clause("d", module.size)
         self.expect_punct("}")
-        self.doc.forms[name] = self.build(
-            name_tok, LinearForm, module, tuple(d), name=name
-        )
+        return tok, self.build(tok, LinearForm, module, d, name=tok.text)
 
-    def parse_bimodule(self, kw):
-        name_tok = self.expect_ident("bimodule name")
-        name = self.fresh_name(name_tok)
-        self.expect_keyword("on")
-        form_tok = self.expect_ident("form name")
-        form = self.resolve("forms", form_tok, "form")
-        self.expect_punct("{")
-        self.expect_keyword("bsize")
-        bsize, _ = self.expect_int()
-        self.expect_keyword("badd")
-        self.expect_punct("=")
-        badd, _ = self.table(bsize * bsize)
-        self.expect_keyword("bleft")
-        self.expect_punct("=")
-        bleft, _ = self.table(form.ring.size * bsize)
-        self.expect_keyword("bright")
-        self.expect_punct("=")
-        bright, _ = self.table(bsize * form.ring.size)
-        self.expect_keyword("ksize")
-        ksize, _ = self.expect_int()
-        self.expect_keyword("kadd")
-        self.expect_punct("=")
-        kadd, _ = self.table(ksize * ksize)
-        self.expect_keyword("kact")
-        self.expect_punct("=")
-        kact, _ = self.table(form.ring.size * ksize)
-        self.expect_keyword("delta")
-        self.expect_punct("=")
-        delta, _ = self.table(ksize)
-        self.expect_keyword("dot")
-        self.expect_punct("=")
-        dot, _ = self.table(bsize * form.module.size)
+    def parse_bimodule(self):
+        tok, _, form = self.header("bimodule", "on", "form")
+        r = form.ring.size
+        b = self.number("bsize")
+        badd, bleft, bright = (self.clause(w, n) for w, n in
+                               (("badd", b * b), ("bleft", r * b), ("bright", b * r)))
+        k = self.number("ksize")
+        kadd, kact, delta, dot = (self.clause(w, n) for w, n in (
+            ("kadd", k * k), ("kact", r * k), ("delta", k), ("dot", b * form.module.size)))
         self.expect_punct("}")
-        bgroup = self.build(name_tok, AbelianGroup, bsize, tuple(badd))
-        kmod = self.build(
-            name_tok, LeftModule, form.ring, ksize, tuple(kadd), tuple(kact)
-        )
-        self.doc.bimodules[name] = self.build(
-            name_tok,
-            DBimodule,
-            form,
-            bgroup,
-            tuple(bleft),
-            tuple(bright),
-            kmod,
-            tuple(delta),
-            tuple(dot),
-            name=name,
-        )
+        bgroup = self.build(tok, AbelianGroup, b, badd)
+        kmod = self.build(tok, LeftModule, form.ring, k, kadd, kact)
+        return tok, self.build(tok, DBimodule, form, bgroup, bleft, bright, kmod, delta, dot,
+                               name=tok.text)
 
-    def parse_extension(self, kw):
-        name_tok = self.expect_ident("extension name")
-        name = self.fresh_name(name_tok)
-        self.expect_punct("{")
-        self.expect_keyword("total")
-        total = self.resolve("monoids", self.expect_ident("monoid name"), "monoid")
-        self.expect_keyword("base")
-        base = self.resolve("monoids", self.expect_ident("monoid name"), "monoid")
-        self.expect_keyword("system")
-        system = self.resolve("systems", self.expect_ident("system name"), "system")
-        self.expect_keyword("proj")
-        self.expect_punct("=")
-        proj, _ = self.table(total.size)
+    def parse_extension(self):
+        tok = self.header("extension")[0]
+        total = self.ref("total", "monoid")[1]
+        base = self.ref("base", "monoid")[1]
+        system = self.ref("system", "system")[1]
+        proj = self.clause("proj", total.size)
         actions = {}
-        while self.at_keyword("act"):
-            self.next()
-            b, _ = self.expect_int()
+        while self.at("act"):
+            b = self.number("act")
             self.expect_punct("=")
-            values, _ = self.table()
-            actions[b] = tuple(values)
+            actions[b] = self.table()
         self.expect_punct("}")
-        rows = []
         for b in range(base.size):
             if b not in actions:
-                self.err("E_INVARIANT", name_tok, f"missing action table for {b}")
-            rows.append(actions[b])
-        self.doc.extensions[name] = self.build(
-            name_tok,
-            MonoidExtension,
-            total,
-            base,
-            tuple(proj),
-            system,
-            tuple(rows),
-            name=name,
-        )
+                self.err("E_INVARIANT", tok, f"missing action table for {b}")
+        return tok, self.build(
+            tok, MonoidExtension, total, base, proj, system,
+            tuple(actions[b] for b in range(base.size)), name=tok.text)
 
-    def parse_crext(self, kw):
-        name_tok = self.expect_ident("diagram name")
-        name = self.fresh_name(name_tok)
-        self.expect_punct("{")
-        self.expect_keyword("total")
-        total = self.resolve("forms", self.expect_ident("form name"), "form")
-        self.expect_keyword("base")
-        base = self.resolve("forms", self.expect_ident("form name"), "form")
-        self.expect_keyword("pmap")
-        self.expect_punct("=")
-        pmap, _ = self.table(total.ring.size)
-        self.expect_keyword("qmap")
-        self.expect_punct("=")
-        qmap, _ = self.table(total.module.size)
+    def parse_crext(self):
+        tok = self.header("diagram")[0]
+        total = self.ref("total", "form")[1]
+        base = self.ref("base", "form")[1]
+        pmap, qmap = self.clause("pmap", total.ring.size), self.clause("qmap", total.module.size)
         self.expect_punct("}")
-        try:
-            ext = FormExtension(total, base, tuple(pmap), tuple(qmap), name=name)
-        except MaltkitError as exc:
-            self.err("E_INVARIANT", name_tok, str(exc))
-        self.doc.crexts[name] = ext
+        return tok, self.build(tok, FormExtension, total, base, pmap, qmap, name=tok.text)
 
 
 def parse(text: str, doc: SpecDocument | None = None) -> SpecDocument:
@@ -539,102 +445,63 @@ def parse_files(paths) -> SpecDocument:
 
 # --- serialisation ----------------------------------------------------------
 
-def _fmt_table(values) -> str:
-    return "[" + " ".join(str(v) for v in values) + "]"
+def _name(store, entity) -> str:
+    """The name a store keeps the entity under, else the entity's own."""
+    return next((k for k, v in store.items() if v == entity), entity.name)
+
+
+def _clauses(*clauses) -> str:
+    """`word value` for an integer or a name, `word = [..]` for a table."""
+    return " ".join(f"{w} {v}" if isinstance(v, (int, str)) else
+                    f"{w} = [{' '.join(map(str, v))}]" for w, v in clauses)
 
 
 def serialize(doc: SpecDocument) -> str:
     out = []
+
+    def put(keyword, name, body, link=""):
+        out.append(f"{keyword} {name}{link} {{ {body} }}")
+
     for name, alg in sorted(doc.algebras.items()):
-        ops = " ".join(
-            f"op {op.name}/{op.arity} = {_fmt_table(op.table)}" for op in alg.ops
-        )
-        out.append(f"algebra {name} {{ size {alg.size} {ops} }}".replace("  }", " }"))
+        put("algebra", name, _clauses(("size", alg.size), *(
+            (f"op {op.name}/{op.arity}", op.table) for op in alg.ops)))
     for name, (alg_name, cong) in sorted(doc.congruences.items()):
-        blocks = " | ".join(" ".join(str(x) for x in b) for b in cong.blocks())
-        out.append(f"cong {name} on {alg_name} {{ blocks: {blocks} }}")
+        blocks = " | ".join(" ".join(map(str, b)) for b in cong.blocks())
+        put("cong", name, f"blocks: {blocks}", f" on {alg_name}")
     for name, tern in sorted(doc.terns.items()):
-        head = f"tern {name} {{ size {tern.size}"
-        if tern.kind != FULL:
-            head += f" base {_fmt_table(tern.base)} {tern.kind}"
-        entries = " ".join(
-            f"({x} {y} {z} -> {tern(x, y, z)})" for x, y, z in tern.domain()
-        )
-        out.append(f"{head} table: {entries} }}")
+        base = f" base [{' '.join(map(str, tern.base))}] {tern.kind}" if tern.kind != FULL else ""
+        entries = " ".join(f"({x} {y} {z} -> {tern(x, y, z)})" for x, y, z in tern.domain())
+        put("tern", name, f"size {tern.size}{base} table: {entries}")
     for name, mon in sorted(doc.monoids.items()):
-        out.append(
-            f"monoid {name} {{ size {mon.size} unit {mon.unit} mul = {_fmt_table(mon.mul)} }}"
-        )
+        put("monoid", name, _clauses(("size", mon.size), ("unit", mon.unit), ("mul", mon.mul)))
     for name, sys_ in sorted(doc.systems.items()):
-        mon_name = next(
-            (k for k, v in doc.monoids.items() if v == sys_.monoid), sys_.monoid.name
-        )
-        parts = []
-        for x, g in enumerate(sys_.groups):
-            parts.append(f"group {x} {{ size {g.size} add = {_fmt_table(g.add)} }}")
-        for b in range(sys_.monoid.size):
-            for x in range(sys_.monoid.size):
-                parts.append(f"left {b} {x} = {_fmt_table(sys_.left[b][x])}")
-        for x in range(sys_.monoid.size):
-            for b in range(sys_.monoid.size):
-                parts.append(f"right {x} {b} = {_fmt_table(sys_.right[x][b])}")
-        out.append(f"natsys {name} on {mon_name} {{ " + " ".join(parts) + " }")
+        n = range(sys_.monoid.size)
+        groups = (f"group {x} {{ {_clauses(('size', g.size), ('add', g.add))} }}"
+                  for x, g in enumerate(sys_.groups))
+        put("natsys", name, " ".join([*groups, _clauses(
+            *((f"left {b} {x}", sys_.left[b][x]) for b in n for x in n),
+            *((f"right {x} {b}", sys_.right[x][b]) for x in n for b in n))]),
+            f" on {_name(doc.monoids, sys_.monoid)}")
     for name, ring in sorted(doc.rings.items()):
-        out.append(
-            f"ring {name} {{ size {ring.size} add = {_fmt_table(ring.add)} "
-            f"mul = {_fmt_table(ring.mul)} }}"
-        )
+        put("ring", name, _clauses(("size", ring.size), ("add", ring.add), ("mul", ring.mul)))
     for name, mod in sorted(doc.modules.items()):
-        ring_name = next(
-            (k for k, v in doc.rings.items() if v == mod.ring), mod.ring.name
-        )
-        out.append(
-            f"module {name} over {ring_name} {{ size {mod.size} "
-            f"add = {_fmt_table(mod.add)} act = {_fmt_table(mod.act)} }}"
-        )
+        put("module", name, _clauses(("size", mod.size), ("add", mod.add), ("act", mod.act)),
+            f" over {_name(doc.rings, mod.ring)}")
     for name, form in sorted(doc.forms.items()):
-        mod_name = next(
-            (k for k, v in doc.modules.items() if v == form.module), form.module.name
-        )
-        out.append(f"form {name} on {mod_name} {{ d = {_fmt_table(form.d)} }}")
+        put("form", name, _clauses(("d", form.d)), f" on {_name(doc.modules, form.module)}")
     for name, bim in sorted(doc.bimodules.items()):
-        form_name = next(
-            (k for k, v in doc.forms.items() if v == bim.form), bim.form.name
-        )
-        out.append(
-            f"bimodule {name} on {form_name} {{ "
-            f"bsize {bim.bgroup.size} badd = {_fmt_table(bim.bgroup.add)} "
-            f"bleft = {_fmt_table(bim.bleft)} bright = {_fmt_table(bim.bright)} "
-            f"ksize {bim.kmodule.size} kadd = {_fmt_table(bim.kmodule.add)} "
-            f"kact = {_fmt_table(bim.kmodule.act)} delta = {_fmt_table(bim.delta)} "
-            f"dot = {_fmt_table(bim.dot)} }}"
-        )
+        put("bimodule", name, _clauses(
+            ("bsize", bim.bgroup.size), ("badd", bim.bgroup.add), ("bleft", bim.bleft),
+            ("bright", bim.bright), ("ksize", bim.kmodule.size), ("kadd", bim.kmodule.add),
+            ("kact", bim.kmodule.act), ("delta", bim.delta), ("dot", bim.dot)),
+            f" on {_name(doc.forms, bim.form)}")
     for name, ext in sorted(doc.extensions.items()):
-        total_name = next(
-            (k for k, v in doc.monoids.items() if v == ext.total), ext.total.name
-        )
-        base_name = next(
-            (k for k, v in doc.monoids.items() if v == ext.base), ext.base.name
-        )
-        sys_name = next(
-            (k for k, v in doc.systems.items() if v == ext.system), ext.system.name
-        )
-        acts = " ".join(
-            f"act {b} = {_fmt_table(ext.actions[b])}" for b in range(ext.base.size)
-        )
-        out.append(
-            f"extension {name} {{ total {total_name} base {base_name} "
-            f"system {sys_name} proj = {_fmt_table(ext.proj)} {acts} }}"
-        )
+        put("extension", name, _clauses(
+            ("total", _name(doc.monoids, ext.total)), ("base", _name(doc.monoids, ext.base)),
+            ("system", _name(doc.systems, ext.system)), ("proj", ext.proj),
+            *((f"act {b}", ext.actions[b]) for b in range(ext.base.size))))
     for name, ext in sorted(doc.crexts.items()):
-        total_name = next(
-            (k for k, v in doc.forms.items() if v == ext.total), ext.total.name
-        )
-        base_name = next(
-            (k for k, v in doc.forms.items() if v == ext.base), ext.base.name
-        )
-        out.append(
-            f"crext {name} {{ total {total_name} base {base_name} "
-            f"pmap = {_fmt_table(ext.ring_map)} qmap = {_fmt_table(ext.module_map)} }}"
-        )
+        put("crext", name, _clauses(
+            ("total", _name(doc.forms, ext.total)), ("base", _name(doc.forms, ext.base)),
+            ("pmap", ext.ring_map), ("qmap", ext.module_map)))
     return "\n".join(out) + ("\n" if out else "")

@@ -259,6 +259,30 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert json.loads(out)["error"]["code"] == "E_TABLE_LEN"
 
 
+# Spec files that once ended in a traceback, ran for seconds or left `parse`
+# as a bare DomainError, with the code, line and column of their diagnostic.
+# The CI workflow runs `mk parse` on the same texts.
+HOSTILE = {
+    "long-literal": ("monoid M { size " + "1" * 5000 + " unit 0 mul = [] }", "E_RANGE", 1, 17),
+    "long-power": ("algebra A { size 2 op f/20000 = [] }", "E_TABLE_LEN", 1, 33),
+    "long-ring-size": ("ring R { size " + "1" * 2200 + " add = [] mul = [] }", "E_RANGE", 1, 15),
+    "slow-power": ("algebra A { size 3 op f/30000000 = [] }", "E_TABLE_LEN", 1, 36),
+    "tern-outside": ("tern T { size 4 table: (3 8 1 -> 0) }", "E_RANGE", 1, 24),
+    "tern-huge": ("tern T { size 3000 table: (0 0 0 -> 0) }", "E_INVARIANT", 1, 6),
+}
+
+
+@pytest.mark.parametrize("name", HOSTILE)
+def test_hostile_spec_gets_one_positioned_diagnostic(capsys, tmp_path, name):
+    text, *where = HOSTILE[name]
+    path = tmp_path / f"{name}.spec"
+    path.write_text(text)
+    code, out = run_cli(capsys, "parse", str(path))
+    assert code == 1 and out.count("\n") == 1
+    error = json.loads(out)["error"]
+    assert [error["code"], error["line"], error["col"]] == where
+
+
 def test_unknown_verb_exit_64():
     proc = subprocess.run(
         [sys.executable, "-m", "maltkit.cli", "definitely-not-a-verb"],

@@ -103,3 +103,38 @@ def test_extension_file(tmp_path):
     assert set(doc.extensions) == {"E"}
     ext = doc.extensions["E"]
     assert ext.total.size == 5 and ext.base.size == 2
+
+
+def test_table_length_prints_unless_too_long():
+    with pytest.raises(Diagnostic) as exc:
+        parse("algebra A { size 2 op f/100 = [] }")
+    assert str(exc.value).endswith(f"table has 0 entries, expected {2**100}")
+    with pytest.raises(Diagnostic) as exc:
+        parse("algebra A { size 3 op f/30000000 = [0] }")
+    assert str(exc.value).endswith("table has 1 entries, expected 3**30000000")
+
+
+@pytest.mark.parametrize("literal, ok", [
+    ("9223372036854775807", True), ("-9223372036854775808", True),
+    ("9223372036854775808", False), ("-9223372036854775809", False),
+    ("000000000000000000000000000001", True), ("9" * 5000, False),
+])
+def test_integers_are_int64(literal, ok):
+    """A literal outside int64 gets E_RANGE at its column, read alone or in a table."""
+    for text in (f"monoid M {{ size {literal} unit 0 mul = [] }}",
+                 f"algebra A {{ size 1 op f/1 = [{literal}] }}"):
+        with pytest.raises(Diagnostic) as exc:
+            parse(text)
+        if ok:
+            assert "64-bit" not in str(exc.value)
+        else:
+            assert exc.value.code == "E_RANGE" and "64-bit" in str(exc.value)
+            assert exc.value.col == text.index(literal) + 1
+
+
+def test_tern_entry_outside_fibered_domain():
+    text = "tern T { size 2 base [0 1] fibered table: (0 0 0 -> 0) (0 1 0 -> 0) (1 1 1 -> 1) }"
+    with pytest.raises(Diagnostic) as exc:
+        parse(text)
+    assert exc.value.code == "E_RANGE"
+    assert exc.value.col == text.index("(0 1 0") + 1
