@@ -4,10 +4,12 @@ and quotient-by-presentation via integer Smith normal form."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import mixed_index, mixed_unindex
 from .errors import InternalError, InvariantViolation
 from .laws import require, require_range
 
@@ -43,15 +45,6 @@ class AbelianGroup:
 
     def minus(self, a: int, b: int) -> int:
         return self.plus(a, self.neg[b])
-
-    def scalar(self, k: int, a: int) -> int:
-        """k-fold sum of a (k may be negative)."""
-        if k < 0:
-            return self.neg[self.scalar(-k, a)]
-        out = self.zero
-        for _ in range(k):
-            out = self.plus(out, a)
-        return out
 
     @classmethod
     def cyclic(cls, n: int) -> "AbelianGroup":
@@ -121,19 +114,19 @@ def additive_maps(src: AbelianGroup, dst: AbelianGroup) -> list[tuple[int, ...]]
     Enumerated over images of a generating sequence; each candidate is
     extended by closure and rejected on the first conflict, so the cost is
     |dst|**len(gens) candidate extensions.
+
+    A complete table without conflict is a homomorphism: extend_additive
+    pushes every element that gets an image exactly once, and popping y
+    checks u + y against every u that already has an image.  Of any pair
+    u, y the element popped later finds the other with an image (it got
+    one before it was pushed), so it checks their sum; a checked entry is
+    never changed.
     """
     gens = generating_sequence(src)
     out = []
     for images in itertools.product(range(dst.size), repeat=len(gens)):
         table, conflict = extend_additive(src, dst, zip(gens, images))
-        if conflict is not None or None in table:
-            continue
-        # final consistency sweep (guards against partially-closed folds)
-        if all(
-            table[src.plus(a, b)] == dst.plus(table[a], table[b])
-            for a in range(src.size)
-            for b in range(src.size)
-        ):
+        if conflict is None and None not in table:
             out.append(tuple(table))
     return out
 
@@ -228,40 +221,16 @@ def group_from_presentation(ngens: int, relations: list[list[int]]):
     element of the quotient.  Raises if the quotient is infinite.
     """
     diag, V = smith_normal_form(relations, ngens)
-    moduli = []
-    keep = []
-    for i in range(ngens):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            raise InternalError("presentation does not define a finite group")
-        if d == 1:
-            continue
-        moduli.append(d)
-        keep.append(i)
-
-    def classify(z) -> tuple[int, ...]:
-        # coordinates of z in the transformed basis, reduced mod the moduli
-        return tuple(
-            sum(V[c][g] * z[g] for g in range(ngens)) % m
-            for c, m in zip(keep, moduli)
-        )
-
-    size = 1
-    for m in moduli:
-        size *= m
-    index = {}
-    elems = []
-    for vec in itertools.product(*(range(m) for m in moduli)):
-        index[vec] = len(elems)
-        elems.append(vec)
-    table = []
-    for a in elems:
-        for b in elems:
-            table.append(index[tuple((x + y) % m for x, y, m in zip(a, b, moduli))])
-    group = AbelianGroup(max(size, 1), tuple(table) if size else (0,))
-    coords = []
-    for g in range(ngens):
-        z = [0] * ngens
-        z[g] = 1
-        coords.append(index[classify(z)])
-    return group, coords
+    if 0 in diag:
+        raise InternalError("presentation does not define a finite group")
+    keep = [i for i, d in enumerate(diag) if d != 1]
+    moduli = [diag[i] for i in keep]
+    size = math.prod(moduli)
+    elems = mixed_unindex(moduli, np.arange(size))
+    table = mixed_index(moduli, [(x[:, None] + x) % m for x, m in zip(elems, moduli)])
+    group = AbelianGroup(size, tuple(np.broadcast_to(table, (size, size)).ravel().tolist()))
+    # generator g is the element with coordinates V[c][g] mod diag[c]; the
+    # entries of V can exceed int64, so they are reduced as Python ints
+    residues = np.array([V[c] for c in keep], dtype=object).reshape(len(keep), ngens)
+    coords = mixed_index(moduli, residues % np.array(moduli, dtype=object)[:, None])
+    return group, np.broadcast_to(coords, ngens).tolist()

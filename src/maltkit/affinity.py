@@ -18,14 +18,17 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, Operation, TermOp, _projections, _term_blocks, term_clone
+from .algebra import (
+    FiniteAlgebra, Operation, TermOp, _projections, _term_blocks, mixed_index, mixed_unindex,
+    term_clone,
+)
 from .algebra import DEFAULT_CLONE_BUDGET
-from .abgroup import AbelianGroup, isomorphisms
+from .abgroup import isomorphisms
 from .commutator import is_abelian
 from .errors import (
     ArityError,
@@ -289,7 +292,7 @@ def canonical_affinity_tables(form: LinearForm, rank: int = 1):
     given rank, in the layout affinity_axiom_check reads.
 
     An element is its coordinates (m, r_1, ..., r_{rank-1}) in M x R^(rank-1),
-    encoded mixed-radix with the module part most significant; addition,
+    encoded by `mixed_index` with the module part most significant; addition,
     negation and scaling act coordinatewise.
     """
     if rank < 1:
@@ -300,8 +303,8 @@ def canonical_affinity_tables(form: LinearForm, rank: int = 1):
     radd, rmul = np.reshape(R.add, (nr, nr)), np.reshape(R.mul, (nr, nr))
     madd, mact = np.reshape(M.add, (nm, nm)), np.reshape(M.act, (nr, nm))
     rneg, mneg = np.asarray(R.additive_group().neg), np.asarray(M.additive_group().neg)
-    e = np.arange(n)
-    coords = [e // nr**k] + [e // nr ** (k - 1 - j) % nr for j in range(k)]
+    sizes = (nm,) + (nr,) * k
+    coords = mixed_unindex(sizes, np.arange(n))
 
     def plus(u, v):
         return [madd[u[0], v[0]]] + [radd[a, b] for a, b in zip(u[1:], v[1:])]
@@ -312,23 +315,17 @@ def canonical_affinity_tables(form: LinearForm, rank: int = 1):
     def smul(r, u):
         return [mact[r, u[0]]] + [rmul[r, a] for a in u[1:]]
 
-    def encode(u, shape):
-        out = u[0]
-        for a in u[1:]:
-            out = out * nr + a
-        return np.broadcast_to(out, shape).ravel()
-
     def axis(i, dims):  # the coordinates of the elements along axis i of dims axes
         return [c.reshape((-1,) + (1,) * (dims - 1 - i)) for c in coords]
 
     b, a, c = axis(0, 3), axis(1, 3), axis(2, 3)
-    herd = encode(plus(plus(b, neg(a)), c), (n, n, n))
+    herd = mixed_index(sizes, plus(plus(b, neg(a)), c)).ravel()
     r = np.arange(nr).reshape(-1, 1, 1)
     one_minus_r = radd[R.one, rneg[r]]
-    raction = encode(plus(smul(one_minus_r, a), smul(r, c)), (nr, n, n))
+    raction = mixed_index(sizes, plus(smul(one_minus_r, a), smul(r, c))).ravel()
     x = np.arange(nm).reshape(-1, 1)
     one_minus_dx = radd[R.one, rneg[np.asarray(form.d)]].reshape(-1, 1)
-    phi = encode(plus([x] + [R.zero] * k, smul(one_minus_dx, axis(1, 2))), (nm, n))
+    phi = mixed_index(sizes, plus([x] + [R.zero] * k, smul(one_minus_dx, axis(1, 2)))).ravel()
     return n, herd, raction, phi
 
 

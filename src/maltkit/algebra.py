@@ -13,7 +13,7 @@ nullary operations.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -45,19 +45,25 @@ def index_tuple(size: int, arity: int, idx: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def mixed_index(sizes, values) -> int:
-    """Mixed-radix encoding over heterogeneous factor sizes (leftmost most significant)."""
+def mixed_index(sizes, values):
+    """Mixed-radix code of coordinates over heterogeneous factor sizes,
+    leftmost most significant: the one encoder of product carriers.
+
+    The values may be integers or broadcastable index arrays; with arrays the
+    result is the array of codes."""
     idx = 0
     for s, v in zip(sizes, values):
         idx = idx * s + v
     return idx
 
 
-def mixed_unindex(sizes, idx: int) -> tuple[int, ...]:
+def mixed_unindex(sizes, idx):
+    """Inverse of mixed_index: the coordinates of a code, or of every code
+    of an index array (one array per factor), as a tuple."""
     out = [0] * len(sizes)
     for i in range(len(sizes) - 1, -1, -1):
         out[i] = idx % sizes[i]
-        idx //= sizes[i]
+        idx = idx // sizes[i]
     return tuple(out)
 
 
@@ -196,21 +202,14 @@ def product(algebras) -> FiniteAlgebra:
         if a.signature() != sig:
             raise SignatureError(f"signature mismatch: {sig} vs {a.signature()}")
     sizes = [a.size for a in algebras]
-    n = 1
-    for s in sizes:
-        n *= s
+    n = math.prod(sizes)
     ops = []
     for name, arity in sig:
-        factor_ops = [a.op(name) for a in algebras]
-        table = []
-        for args in itertools.product(range(n), repeat=arity):
-            decoded = [mixed_unindex(sizes, a) for a in args]
-            value = tuple(
-                alg.apply(fop, tuple(decoded[j][i] for j in range(arity)))
-                for i, (alg, fop) in enumerate(zip(algebras, factor_ops))
-            )
-            table.append(mixed_index(sizes, value))
-        ops.append(Operation(name, arity, tuple(table)))
+        # one column per argument tuple; a nullary operation has one, the empty tuple
+        args = mixed_unindex(sizes, np.indices((n,) * arity).reshape(arity, n**arity))
+        value = [alg.op_array(name)[tuple(a)] for alg, a in zip(algebras, args)]
+        table = np.reshape(mixed_index(sizes, value), -1)
+        ops.append(Operation(name, arity, tuple(table.tolist())))
     return FiniteAlgebra(n, tuple(ops))
 
 

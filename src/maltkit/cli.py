@@ -19,14 +19,12 @@ from .affinity import (
     pseudoconstants,
     roundtrip_check,
 )
-from .abgroup import AbelianGroup
 from .algebra import DEFAULT_CLONE_BUDGET, clone_to_json, term_clone
 from .commutator import (
     center,
     commutator,
     is_abelian,
     lower_series,
-    nilpotence_class,
     upper_series,
 )
 from .congruence import Congruence
@@ -151,7 +149,7 @@ def _parser() -> _Parser:
     add("clone", files, name, (("--arity",), {"type": _count(0), "default": 1}))
     add("commutator", files, name, (("--R",), {"required": True}), (("--S",), {"required": True}))
     add("center", files, name)
-    add("nilpotence", files, name, (("--max",), {"type": int, "default": None}))
+    add("nilpotence", files, name, (("--max",), {"type": _count(0), "default": None}))
     add("affinity-compose", files, (("--form",), {"required": True}),
         (("--outer",), {"required": True}),
         (("--inner",), {"action": "append", "default": [], "required": True}))

@@ -52,15 +52,16 @@ class Congruence:
 
     @classmethod
     def from_blocks(cls, size: int, blocks) -> "Congruence":
-        labels = [None] * size
+        labels = {}
         for i, block in enumerate(blocks):
             for x in block:
-                if not 0 <= x < size or labels[x] is not None:
+                if not 0 <= x < size or x in labels:
                     raise InvariantViolation("blocks-partition", x)
                 labels[x] = i
-        if any(l is None for l in labels):
-            raise InvariantViolation("blocks-cover-carrier", labels)
-        return cls.from_labels(labels)
+        if len(labels) < size:
+            least_missing = next(x for x in range(size) if x not in labels)
+            raise InvariantViolation("blocks-cover-carrier", least_missing)
+        return cls.from_labels([labels[x] for x in range(size)])
 
     @property
     def nblocks(self) -> int:

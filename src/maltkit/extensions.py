@@ -1,6 +1,7 @@
 """Extensions of linear forms: singular-extension checking, the induced
 coefficient bimodule, derivations with the low cohomology groups, and the
-Maltsev lift along an extension of theories."""
+Maltsev lift along an extension of theories.  Split extensions are built
+and derivations filtered as index arrays over the tables."""
 
 from __future__ import annotations
 
@@ -8,15 +9,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abgroup import AbelianGroup, additive_maps
+from .abgroup import AbelianGroup, additive_maps, generating_sequence
 from .affinity import (
     AffinityOp,
     FreeAffinity,
-    canonical_maltsev,
     compose_affinity,
     is_maltsev_op,
     projection,
 )
+from .algebra import mixed_index, mixed_unindex
 from .errors import (
     DerBudgetExceeded,
     DiagramError,
@@ -26,7 +27,9 @@ from .errors import (
 )
 from .laws import first_violation
 from .maltsev import TernaryTable, check_maltsev
-from .rings import DBimodule, LeftModule, LinearForm, submodule
+from .rings import DBimodule, FiniteRing, LeftModule, LinearForm
+
+DERIVATION_BUDGET = 1_000_000  # most candidate pairs (d, nabla) enumerate_derivations tries
 
 
 @dataclass(frozen=True)
@@ -102,6 +105,10 @@ class CrextReport:
         }
 
 
+def _flat(a) -> tuple[int, ...]:
+    return tuple(np.ravel(a).tolist())
+
+
 def _last_lifts(surjection, size):
     """The largest preimage of each of range(size)."""
     last = dict(zip(surjection, range(len(surjection))))
@@ -143,18 +150,17 @@ def crext_check(ext: FormExtension) -> CrextReport:
             return CrextReport(False, law, None, (int(kernels[0][i]), int(kernels[1][j])))
     bslot, kslot = np.full(S.size, -1), np.full(N.size, -1)
     bslot[bk], kslot[kk] = np.arange(bk.size), np.arange(kk.size)
-    flat = lambda a: tuple(a.ravel().tolist())
-    bgrp = AbelianGroup(bk.size, flat(bslot[sadd[np.ix_(bk, bk)]]))
+    bgrp = AbelianGroup(bk.size, _flat(bslot[sadd[np.ix_(bk, bk)]]))
     try:
-        kmod = LeftModule(R, kk.size, flat(kslot[nadd[np.ix_(kk, kk)]]),
-                          flat(kslot[nact[lr[:, None], kk]]))
+        kmod = LeftModule(R, kk.size, _flat(kslot[nadd[np.ix_(kk, kk)]]),
+                          _flat(kslot[nact[lr[:, None], kk]]))
     except InvariantViolation as exc:
         return CrextReport(False, f"kernel module law fails: {exc}", None, None)
     try:
         bim = DBimodule(
-            ext.base, bgrp, flat(bslot[smul[lr[:, None], bk]]),
-            flat(bslot[smul[bk[:, None], lr]]), kmod, flat(bslot[D[kk]]),
-            flat(kslot[nact[bk[:, None], lm]]), name=ext.name or "induced",
+            ext.base, bgrp, _flat(bslot[smul[lr[:, None], bk]]),
+            _flat(bslot[smul[bk[:, None], lr]]), kmod, _flat(bslot[D[kk]]),
+            _flat(kslot[nact[bk[:, None], lm]]), name=ext.name or "induced",
         )
     except InvariantViolation as exc:
         return CrextReport(False, f"bimodule law fails: {exc}", None, None)
@@ -188,9 +194,7 @@ class DerivationsReport:
         }
 
 
-def enumerate_derivations(
-    form: LinearForm, bim: DBimodule, budget: int = 1_000_000
-) -> DerivationsReport:
+def enumerate_derivations(form: LinearForm, bim: DBimodule) -> DerivationsReport:
     """All derivation pairs (d: R -> B, nabla: M -> K) with
 
         d(d_form m) = delta(nabla m),  d(rs) = d(r)s + r d(s),
@@ -198,86 +202,70 @@ def enumerate_derivations(
 
     the inner ones ad(k) = (r |-> r delta(k) - delta(k) r,
     m |-> d_form(m) k - delta(k).m), H0 by its closed formula and
-    H1 = Der/Ider with the exact-sequence cardinality identity asserted."""
+    H1 = Der/Ider with the exact-sequence cardinality identity asserted.
+
+    The candidates d and nabla are the additive maps, one row each, and
+    the Leibniz rule filters the rows of d.  The other two laws equate a
+    row that depends on d alone (d(d_form m) and d(r).m) with one that
+    depends on nabla alone (delta(nabla m) and nabla(r m) - r nabla(m)),
+    so a pair passes when their keys agree: the pair filter holds one
+    boolean per candidate pair, at most DERIVATION_BUDGET of them.  Der is
+    listed in (d, nabla) lexicographic order of the candidates."""
+    if bim.form != form:
+        raise InvariantViolation("bimodule-form", None, "the bimodule is over another linear form")
     R, M = form.ring, form.module
     B, K = bim.bgroup, bim.kmodule
-    from .abgroup import generating_sequence
-
-    cost = B.size ** len(generating_sequence(R.additive_group())) * K.size ** len(
+    nr, nm, nb, nk = R.size, M.size, B.size, K.size
+    cost = nb ** len(generating_sequence(R.additive_group())) * nk ** len(
         generating_sequence(M.additive_group())
     )
-    if cost > budget:
-        raise DerBudgetExceeded(f"derivation search space {cost} exceeds {budget}")
-    d_cands = additive_maps(R.additive_group(), B)
-    n_cands = additive_maps(M.additive_group(), K)
-    ders = []
-    for d in d_cands:
-        if any(
-            d[R.mulv(r, s)] != B.plus(bim.ract(d[r], s), bim.lact(r, d[s]))
-            for r in range(R.size)
-            for s in range(R.size)
-        ):
-            continue
-        for nab in n_cands:
-            if any(d[form.d[m]] != bim.delta[nab[m]] for m in range(M.size)):
-                continue
-            if any(
-                nab[M.smul(r, m)] != K.plus(bim.dotv(d[r], m), K.smul(r, nab[m]))
-                for r in range(R.size)
-                for m in range(M.size)
-            ):
-                continue
-            ders.append(Derivation(d, nab))
-    inner = []
-    seen = set()
-    for k in range(K.size):
-        # d_k(r) = r delta(k) - delta(k) r
-        dk = tuple(
-            B.minus(bim.lact(r, bim.delta[k]), bim.ract(bim.delta[k], r))
-            for r in range(R.size)
-        )
-        nk = tuple(
-            K.minus(K.smul(form.d[m], k), bim.dotv(bim.delta[k], m))
-            for m in range(M.size)
-        )
-        t = Derivation(dk, nk)
-        if (dk, nk) not in seen:
-            seen.add((dk, nk))
-            inner.append(t)
-    for t in inner:
-        if t not in ders:
-            raise InternalError("an inner derivation fails the derivation laws")
-    h0 = tuple(
-        c
-        for c in range(K.size)
-        if all(
-            K.smul(form.d[m], c) == bim.dotv(bim.delta[c], m)
-            for m in range(M.size)
-        )
-    )
+    if cost > DERIVATION_BUDGET:
+        raise DerBudgetExceeded(f"derivation search space {cost} exceeds {DERIVATION_BUDGET}")
+    rmul, mact = np.reshape(R.mul, (nr, nr)), np.reshape(M.act, (nr, nm))
+    badd, kadd = np.reshape(B.add, (nb, nb)), np.reshape(K.add, (nk, nk))
+    bneg, kneg = np.asarray(B.neg), np.asarray(K.additive_group().neg)
+    kact, dot = np.reshape(K.act, (nr, nk)), np.reshape(bim.dot, (nb, nm))
+    lact, ract = np.reshape(bim.bleft, (nr, nb)), np.reshape(bim.bright, (nb, nr))
+    delta, dform = np.asarray(bim.delta), np.asarray(form.d)
+    r, m = np.arange(nr), np.arange(nm)
+    d = np.reshape(additive_maps(R.additive_group(), B), (-1, nr))
+    leibniz = d[:, rmul] == badd[ract[d[:, :, None], r], lact[r[:, None], d[:, None]]]
+    d = d[leibniz.all(axis=(1, 2))]
+    nab = np.reshape(additive_maps(M.additive_group(), K), (-1, nm))
+    keys = np.concatenate([
+        np.hstack([d[:, dform], dot[d[:, :, None], m].reshape(len(d), -1)]),
+        np.hstack([delta[nab], kadd[nab[:, mact], kneg[kact[r[:, None], nab[:, None]]]]
+                   .reshape(len(nab), -1)]),
+    ])
+    label = np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1)
+    i, j = np.nonzero(label[:len(d), None] == label[None, len(d):])
+    ders = np.hstack([d[i], nab[j]])
+    # d_form(m) k and delta(k).m, one row per k: ad(k) on M and the H0 test
+    scaled, paired = kact[dform, np.arange(nk)[:, None]], dot[delta[:, None], m]
+    inner = np.hstack([badd[lact[r, delta[:, None]], bneg[ract[delta[:, None], r]]],
+                       kadd[scaled, kneg[paired]]])
+    inner = inner[np.sort(np.unique(inner, axis=0, return_index=True)[1])]
+    if not set(map(tuple, inner.tolist())) <= set(map(tuple, ders.tolist())):
+        raise InternalError("an inner derivation fails the derivation laws")
+    h0 = tuple(np.flatnonzero((scaled == paired).all(axis=1)).tolist())
     if len(ders) % len(inner) != 0:
         raise InternalError("inner derivations do not partition Der evenly")
     h1 = len(ders) // len(inner)
-    if len(h0) * len(ders) != K.size * h1:
+    if len(h0) * len(ders) != nk * h1:
         raise InternalError("exact-sequence cardinality identity fails")
-    # coset representatives of Ider in Der, first-seen order
-    reps = []
-    covered = set()
-    inner_set = {(t.d, t.nabla) for t in inner}
-    for t in ders:
-        key = (t.d, t.nabla)
-        if key in covered:
-            continue
-        reps.append(t)
-        for i in inner:
-            shifted = (
-                tuple(B.plus(a, b) for a, b in zip(t.d, i.d)),
-                tuple(K.plus(a, b) for a, b in zip(t.nabla, i.nabla)),
-            )
-            covered.add(shifted)
+    # coset representatives of Ider in Der, first-seen order; the least label
+    # of the rows of t + Ider names the coset of t
+    shifted = np.concatenate([badd[ders[:, None, :nr], inner[:, :nr]],
+                              kadd[ders[:, None, nr:], inner[:, nr:]]], axis=2)
+    label = np.unique(shifted.reshape(-1, nr + nm), axis=0, return_inverse=True)[1]
+    coset = label.reshape(len(ders), -1).min(axis=1)
+    reps = ders[np.sort(np.unique(coset, return_index=True)[1])]
     if len(reps) != h1:
         raise InternalError("coset enumeration disagrees with |H1|")
-    return DerivationsReport(tuple(ders), tuple(inner), h0, h1, tuple(reps))
+    as_derivations = lambda rows: tuple(
+        Derivation(tuple(t[:nr]), tuple(t[nr:])) for t in rows.tolist())
+    return DerivationsReport(as_derivations(ders), as_derivations(inner), h0, h1,
+                             as_derivations(reps))
 
 
 def _op_images(ext: FormExtension, op: AffinityOp) -> AffinityOp:
@@ -363,57 +351,35 @@ def lift_maltsev(
 def trivial_form_extension(bim: DBimodule, name: str = "") -> FormExtension:
     """The split extension of forms determined by a bimodule: the total
     form is delta + d on K + M -> B + R with the square-zero multiplication
-    (b,r)(b',r') = (br' + rb', rr') and action (b,r)(k,m) = (b.m + rk, rm)."""
+    (b,r)(b',r') = (br' + rb', rr') and action (b,r)(k,m) = (b.m + rk, rm).
+    S = B + R and N = K + M are encoded by `mixed_index`, the B and K
+    coordinates most significant."""
     form = bim.form
     R, M = form.ring, form.module
     B, K = bim.bgroup, bim.kmodule
-    from .rings import FiniteRing
-
-    ns = B.size * R.size
-    enc_s = lambda b, r: b * R.size + r
-    sadd = []
-    smul = []
-    for b1 in range(B.size):
-        for r1 in range(R.size):
-            for b2 in range(B.size):
-                for r2 in range(R.size):
-                    sadd.append(enc_s(B.plus(b1, b2), R.plus(r1, r2)))
-                    smul.append(
-                        enc_s(
-                            B.plus(bim.ract(b1, r2), bim.lact(r1, b2)),
-                            R.mulv(r1, r2),
-                        )
-                    )
-    # flat tables above were built in (elt1, elt2) blocks already
+    nr, nm, nb, nk = R.size, M.size, B.size, K.size
+    radd, rmul = np.reshape(R.add, (nr, nr)), np.reshape(R.mul, (nr, nr))
+    madd, mact = np.reshape(M.add, (nm, nm)), np.reshape(M.act, (nr, nm))
+    badd, kadd = np.reshape(B.add, (nb, nb)), np.reshape(K.add, (nk, nk))
+    kact, dot = np.reshape(K.act, (nr, nk)), np.reshape(bim.dot, (nb, nm))
+    lact, ract = np.reshape(bim.bleft, (nr, nb)), np.reshape(bim.bright, (nb, nr))
+    s_sizes, n_sizes = (nb, nr), (nk, nm)
+    b, r = mixed_unindex(s_sizes, np.arange(nb * nr))
+    k, m = mixed_unindex(n_sizes, np.arange(nk * nm))
+    b1, r1, b2, r2 = b[:, None], r[:, None], b[None], r[None]
     S = FiniteRing(
-        ns, tuple(sadd), tuple(smul), enc_s(B.zero, R.zero), enc_s(B.zero, R.one)
+        nb * nr,
+        _flat(mixed_index(s_sizes, (badd[b1, b2], radd[r1, r2]))),
+        _flat(mixed_index(s_sizes, (badd[ract[b1, r2], lact[r1, b2]], rmul[r1, r2]))),
+        mixed_index(s_sizes, (B.zero, R.zero)),
+        mixed_index(s_sizes, (B.zero, R.one)),
     )
-    nn = K.size * M.size
-    enc_n = lambda k, m: k * M.size + m
-    nadd = []
-    for k1 in range(K.size):
-        for m1 in range(M.size):
-            for k2 in range(K.size):
-                for m2 in range(M.size):
-                    nadd.append(enc_n(K.plus(k1, k2), M.plus(m1, m2)))
-    nact = []
-    for b in range(B.size):
-        for r in range(R.size):
-            for k in range(K.size):
-                for m in range(M.size):
-                    nact.append(
-                        enc_n(
-                            K.plus(bim.dotv(b, m), K.smul(r, k)),
-                            M.smul(r, m),
-                        )
-                    )
-    N = LeftModule(S, nn, tuple(nadd), tuple(nact))
-    dprime = tuple(
-        enc_s(bim.delta[k], form.d[m])
-        for k in range(K.size)
-        for m in range(M.size)
+    k2, m2 = k[None], m[None]
+    N = LeftModule(
+        S, nk * nm,
+        _flat(mixed_index(n_sizes, (kadd[k[:, None], k2], madd[m[:, None], m2]))),
+        _flat(mixed_index(n_sizes, (kadd[dot[b1, m2], kact[r1, k2]], mact[r1, m2]))),
     )
+    dprime = _flat(mixed_index(s_sizes, (np.asarray(bim.delta)[k], np.asarray(form.d)[m])))
     total = LinearForm(N, dprime)
-    p = tuple(r for b in range(B.size) for r in range(R.size))
-    q = tuple(m for k in range(K.size) for m in range(M.size))
-    return FormExtension(total, form, p, q, name=name or "split")
+    return FormExtension(total, form, _flat(r), _flat(m), name=name or "split")

@@ -255,43 +255,27 @@ def trivial_extension(mon: FiniteMonoid, system: NaturalSystemOnMonoid,
     (x1, d1)(x2, d2) = (x1 x2, d1 x2 + x1 d2), fibre actions by addition."""
     if system.monoid != mon:
         raise InvariantViolation("system-monoid-mismatch", None)
-    offsets = []
-    total_size = 0
-    for x in range(mon.size):
-        offsets.append(total_size)
-        total_size += system.groups[x].size
-    enc = lambda x, d: offsets[x] + d
-    proj = []
-    for x in range(mon.size):
-        proj.extend([x] * system.groups[x].size)
-    mul = []
-    for e1 in range(total_size):
-        x1 = proj[e1]
-        d1 = e1 - offsets[x1]
-        for e2 in range(total_size):
-            x2 = proj[e2]
-            d2 = e2 - offsets[x2]
-            x = mon.mulv(x1, x2)
-            d = system.groups[x].plus(
-                system.right[x1][x2][d1], system.left[x1][x2][d2]
-            )
-            mul.append(enc(x, d))
+    n, groups = mon.size, system.groups
+    sizes = np.array([g.size for g in groups])
+    offset = np.cumsum(sizes) - sizes
+    proj = np.repeat(np.arange(n), sizes)
+    d = np.arange(proj.size) - offset[proj]
+    left = _padded([m for row in system.left for m in row]).reshape(n, n, -1)
+    right = _padded([m for row in system.right for m in row]).reshape(n, n, -1)
+    add = _padded([g.add for g in groups])
+    x1, d1, x2, d2 = proj[:, None], d[:, None], proj[None], d[None]
+    x = np.reshape(mon.mul, (n, n))[x1, x2]
+    # d1 x2 + x1 d2, read from the flat addition table of D_x
+    mul = offset[x] + add[x, right[x1, x2, d1] * sizes[x] + left[x1, x2, d2]]
     total = FiniteMonoid(
-        total_size,
-        enc(mon.unit, system.groups[mon.unit].zero),
-        tuple(mul),
+        proj.size,
+        int(offset[mon.unit]) + groups[mon.unit].zero,
+        tuple(mul.ravel().tolist()),
         name=name or f"{mon.name}:semidirect",
     )
-    actions = []
-    for b in range(mon.size):
-        g = system.groups[b]
-        fib = list(range(offsets[b], offsets[b] + g.size))
-        table = []
-        for d in range(g.size):
-            for e in fib:
-                table.append(enc(b, g.plus(d, e - offsets[b])))
-        actions.append(tuple(table))
-    ext = MonoidExtension(total, mon, tuple(proj), system, tuple(actions), name=name)
+    actions = tuple(tuple((offset[b] + np.asarray(g.add)).tolist()) for b, g in enumerate(groups))
+    proj = tuple(proj.tolist())
+    ext = MonoidExtension(total, mon, proj, system, actions, name=name)
     rep = check_linear_extension(ext)
     if not rep.ok:
         raise InternalError(f"trivial extension failed its own check: {rep.reason}")

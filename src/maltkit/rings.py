@@ -5,8 +5,8 @@ regular action) is the classifying datum of an abelian Maltsev theory
 without constants; a form-bimodule (B, K, delta, dot) is the coefficient
 datum of its abelian extensions.  Every constructor range-checks its
 tables and then verifies all its laws exhaustively with the kernel of
-`laws`, which reports the first violation in the order of the nested
-loops over the quantified variables.
+`laws`, which reports the lexicographically first violating tuple.  The
+tables built here are index-array expressions over the given ones.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .abgroup import AbelianGroup, extend_additive, group_from_presentation
+from .algebra import mixed_index, mixed_unindex
 from .errors import InvariantViolation
 from .laws import first_violation, require, require_range
 
@@ -95,18 +96,11 @@ def cyclic_ring(n: int, name: str = "") -> FiniteRing:
 
 def dual_numbers_f2(name: str = "F2eps") -> FiniteRing:
     """F2[eps]/(eps^2): elements a + b*eps indexed 2a + b."""
-    def enc(a, b):
-        return 2 * a + b
-
-    add = []
-    mul = []
-    for x in range(4):
-        for y in range(4):
-            a1, b1 = x // 2, x % 2
-            a2, b2 = y // 2, y % 2
-            add.append(enc(a1 ^ a2, b1 ^ b2))
-            mul.append(enc(a1 & a2, (a1 & b2) ^ (b1 & a2)))
-    return FiniteRing.from_tables(tuple(add), tuple(mul), name)
+    a, b = mixed_unindex((2, 2), np.arange(4))
+    a1, b1, a2, b2 = a[:, None], b[:, None], a[None], b[None]
+    add = mixed_index((2, 2), (a1 ^ a2, b1 ^ b2))
+    mul = mixed_index((2, 2), (a1 & a2, (a1 & b2) ^ (b1 & a2)))
+    return FiniteRing.from_tables(tuple(add.ravel().tolist()), tuple(mul.ravel().tolist()), name)
 
 
 @dataclass(frozen=True)
@@ -175,27 +169,24 @@ def zero_module(ring: FiniteRing, name: str = "0") -> LeftModule:
 
 
 def submodule(module: LeftModule, elements, name: str = "") -> tuple[LeftModule, tuple[int, ...]]:
-    """Submodule on a closed subset; returns the module and the element list."""
+    """Submodule on a closed subset; returns the module and the element list.
+    A closure witness is the lexicographically first pair (a, b) whose sum,
+    or (r, a) whose multiple, leaves the subset."""
     elems = sorted(set(elements))
     if module.zero not in elems:
         raise InvariantViolation("submodule-zero", elems)
-    slot = {e: i for i, e in enumerate(elems)}
-    k = len(elems)
-    add = []
-    for a in elems:
-        for b in elems:
-            v = module.plus(a, b)
-            if v not in slot:
-                raise InvariantViolation("submodule-closed-add", (a, b))
-            add.append(slot[v])
-    act = []
-    for r in range(module.ring.size):
-        for a in elems:
-            v = module.smul(r, a)
-            if v not in slot:
-                raise InvariantViolation("submodule-closed-act", (r, a))
-            act.append(slot[v])
-    return LeftModule(module.ring, k, tuple(add), tuple(act), name), tuple(elems)
+    n, nr = module.size, module.ring.size
+    slot = np.full(n, -1)
+    slot[elems] = np.arange(len(elems))
+    add = slot[np.reshape(module.add, (n, n))[np.ix_(elems, elems)]]
+    act = slot[np.reshape(module.act, (nr, n))[:, elems]]
+    for law, table, rows in (("submodule-closed-add", add, elems),
+                             ("submodule-closed-act", act, range(nr))):
+        bad = np.argwhere(table < 0)
+        if bad.size:
+            raise InvariantViolation(law, (rows[bad[0, 0]], elems[bad[0, 1]]))
+    return LeftModule(module.ring, len(elems), tuple(add.ravel().tolist()),
+                      tuple(act.ravel().tolist()), name), tuple(elems)
 
 
 @dataclass(frozen=True)
@@ -244,57 +235,35 @@ def tensor_over_ring(
     balance relations, collapsed by Smith normal form.  Returns the tensor
     group and the pairing table (b, m) -> element.
     """
-    nb, nm = bgroup.size, module.size
-    gen = lambda b, m: b * nm + m
-    ngens = nb * nm
-    relations = []
-
-    def rel(pos, negs):
-        row = [0] * ngens
-        row[pos] += 1
-        for g in negs:
-            row[g] -= 1
-        relations.append(row)
-
-    for b1 in range(nb):
-        for b2 in range(nb):
-            for m in range(nm):
-                rel(gen(bgroup.plus(b1, b2), m), [gen(b1, m), gen(b2, m)])
-    for b in range(nb):
-        for m1 in range(nm):
-            for m2 in range(nm):
-                rel(gen(b, module.plus(m1, m2)), [gen(b, m1), gen(b, m2)])
-    for b in range(nb):
-        for r in range(ring.size):
-            for m in range(nm):
-                rel(gen(bright[b * ring.size + r], m), [gen(b, module.smul(r, m))])
+    nb, nm, nr = bgroup.size, module.size, ring.size
+    badd, madd = np.reshape(bgroup.add, (nb, nb)), np.reshape(module.add, (nm, nm))
+    mact, ract = np.reshape(module.act, (nr, nm)), np.reshape(bright, (nb, nr))
+    b1, b2, m = np.indices((nb, nb, nm)).reshape(3, -1)
+    b, m1, m2 = np.indices((nb, nm, nm)).reshape(3, -1)
+    bb, r, mm = np.indices((nb, nr, nm)).reshape(3, -1)
+    # the (b, m) coordinates of the generators of each relation, +1 at the
+    # first and -1 at the others: biadditivity in b, in m, then balance
+    blocks = []
+    for pos, *negs in (((badd[b1, b2], m), (b1, m), (b2, m)),
+                       ((b, madd[m1, m2]), (b, m1), (b, m2)),
+                       ((ract[bb, r], mm), (bb, mact[r, mm]))):
+        cols = np.stack([mixed_index((nb, nm), g) for g in (pos, *negs)], axis=1)
+        rows = np.zeros((len(cols), nb * nm), dtype=np.int64)
+        np.add.at(rows, (np.arange(len(cols))[:, None], cols), [1] + [-1] * len(negs))
+        blocks.append(rows)
     # bound generator orders so the quotient is manifestly finite
-    for b in range(nb):
-        for m in range(nm):
-            row = [0] * ngens
-            row[gen(b, m)] = _exponent(bgroup)
-            relations.append(row)
-    tensor, coords = group_from_presentation(ngens, relations)
-    pair = tuple(coords[gen(b, m)] for b in range(nb) for m in range(nm))
-    return tensor, pair
+    blocks.append(_exponent(bgroup) * np.eye(nb * nm, dtype=np.int64))
+    tensor, coords = group_from_presentation(nb * nm, np.vstack(blocks).tolist())
+    return tensor, tuple(coords)
 
 
 def _exponent(g: AbelianGroup) -> int:
-    exp = 1
-    for a in range(g.size):
-        k = 1
-        v = a
-        while v != g.zero:
-            v = g.plus(v, a)
-            k += 1
-        exp = exp * k // _gcd(exp, k)
-    return exp
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    """The least k >= 1 with k a = 0 for every a: the lcm of the orders."""
+    add, a = np.reshape(g.add, (g.size, g.size)), np.arange(g.size)
+    k, v = 1, a
+    while (v != g.zero).any():
+        k, v = k + 1, add[v, a]
+    return k
 
 
 @dataclass(frozen=True)
@@ -377,12 +346,6 @@ class DBimodule:
         require((B.size, M.size), [
             ("delta-dot-compatible", lambda b, m: delta[dot[b, m]] == ract[b, d[m]]),
         ])
-
-    def lact(self, r, b):
-        return self.bleft[r * self.bgroup.size + b]
-
-    def ract(self, b, r):
-        return self.bright[b * self.form.ring.size + r]
 
     def dotv(self, b, m):
         return self.dot[b * self.form.module.size + m]

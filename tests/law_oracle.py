@@ -5,7 +5,8 @@ over itertools products, in the order the structure's laws are declared,
 and returns the first (law, witness) it meets, or None; the checks that
 report otherwise (linear extensions, singular extensions of forms, form
 isomorphisms, homomorphisms) keep the loops and the return values of the
-code they check.  The oracle reads the flat tables by index arithmetic and
+code they check, and derivations filters every pair of maps by the
+derivation laws.  The oracle reads the flat tables by index arithmetic and
 shares no code with the kernel, except that crext_report builds the induced
 group, module and bimodule through their constructors.  term_ops is the
 one-tuple-at-a-time clone enumeration that the batched
@@ -272,6 +273,37 @@ def crext_report(ext):
     except InvariantViolation as exc:
         return False, f"bimodule law fails: {exc}", None, None
     return True, "singular extension", None, bim
+
+
+def derivations(form, bim):
+    """(Der, Ider, H0, |H1|) of enumerate_derivations from every pair of
+    maps d: R -> B and nabla: M -> K: Der is the set of (d, nabla) pairs of
+    additive maps that satisfy the Leibniz rule, d(d_form m) = delta(nabla m)
+    and nabla(r m) = d(r).m + r nabla(m); Ider the set of the ad(k)."""
+    R, M, B, K = form.ring, form.module, bim.bgroup, bim.kmodule
+    rr, mm, kk = range(R.size), range(M.size), range(K.size)
+    lact = lambda r, b: bim.bleft[r * B.size + b]
+    ract = lambda b, r: bim.bright[b * R.size + r]
+    dot = lambda b, m: bim.dot[b * M.size + m]
+
+    def additive(f, src, dst):
+        return all(f[src.plus(x, y)] == dst.plus(f[x], f[y])
+                   for x, y in itertools.product(range(src.size), repeat=2))
+
+    ds = [d for d in itertools.product(range(B.size), repeat=R.size)
+          if additive(d, R, B)
+          and all(d[R.mulv(r, s)] == B.plus(ract(d[r], s), lact(r, d[s]))
+                  for r, s in itertools.product(rr, rr))]
+    nablas = [n for n in itertools.product(kk, repeat=M.size) if additive(n, M, K)]
+    der = {(d, n) for d in ds for n in nablas
+           if all(d[form.d[m]] == bim.delta[n[m]] for m in mm)
+           and all(n[M.smul(r, m)] == K.plus(dot(d[r], m), K.smul(r, n[m]))
+                   for r, m in itertools.product(rr, mm))}
+    inner = {(tuple(B.minus(lact(r, bim.delta[k]), ract(bim.delta[k], r)) for r in rr),
+              tuple(K.minus(K.smul(form.d[m], k), dot(bim.delta[k], m)) for m in mm))
+             for k in kk}
+    h0 = tuple(k for k in kk if all(K.smul(form.d[m], k) == dot(bim.delta[k], m) for m in mm))
+    return der, inner, h0, len(der) // len(inner)
 
 
 def is_homomorphism(h):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import maltkit
-from maltkit import algebra, cli
+from maltkit import algebra, cli, extensions
 from maltkit.catalog import dihedral_group
 from maltkit.cli import main
 from maltkit.errors import CloneBudgetExceeded
@@ -155,6 +155,24 @@ def test_derivations_verb(capsys):
     assert payload["der"] == 1 and payload["h0_order"] == 4 and payload["h1_order"] == 1
 
 
+def test_derivations_budget_error(capsys, monkeypatch):
+    monkeypatch.setattr(extensions, "DERIVATION_BUDGET", 1)
+    code, out = run_cli(
+        capsys, "derivations", str(DATA / "forms.lf"), "--form", "F4", "--bim", "CZ4"
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "DerBudgetExceeded"
+
+
+def test_derivations_bimodule_over_another_form(capsys):
+    code, out = run_cli(
+        capsys, "derivations", str(DATA / "forms.lf"), "--form", "F2", "--bim", "CZ4"
+    )
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "code": "InvariantViolation", "message": "the bimodule is over another linear form"}
+
+
 def test_crext_and_lift_verbs(capsys):
     code, out = run_cli(capsys, "crext", str(DATA / "forms.lf"), "--name", "X")
     assert code == 0
@@ -259,8 +277,9 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert json.loads(out)["error"]["code"] == "E_TABLE_LEN"
 
 
-# Spec files that once ended in a traceback, ran for seconds or left `parse`
-# as a bare DomainError, with the code, line and column of their diagnostic.
+# Spec files that once ended in a traceback, ran for seconds, ran out of
+# memory or left `parse` as a bare DomainError, with the code, line and
+# column of their diagnostic.
 # The CI workflow runs `mk parse` on the same texts.
 HOSTILE = {
     "long-literal": ("monoid M { size " + "1" * 5000 + " unit 0 mul = [] }", "E_RANGE", 1, 17),
@@ -269,6 +288,8 @@ HOSTILE = {
     "slow-power": ("algebra A { size 3 op f/30000000 = [] }", "E_TABLE_LEN", 1, 36),
     "tern-outside": ("tern T { size 4 table: (3 8 1 -> 0) }", "E_RANGE", 1, 24),
     "tern-huge": ("tern T { size 3000 table: (0 0 0 -> 0) }", "E_INVARIANT", 1, 6),
+    "cong-huge": ("algebra A { size 100000000000 }\ncong C on A { blocks: 0 }",
+                  "E_INVARIANT", 2, 6),
 }
 
 
@@ -357,6 +378,7 @@ def test_clone_enumeration_peak_memory(tmp_path):
     ["maltsev-term", "--budget", "0"], ["maltsev-term", "--budget", "-5"],
     ["abelianize", "--budget", "0"], ["roundtrip", "--budget", "-1"],
     ["clone", "--budget", "0"], ["clone", "--arity", "-1"], ["clone", "--budget", "x"],
+    ["nilpotence", "--max", "-3"],
 ])
 def test_bad_budget_and_arity_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:

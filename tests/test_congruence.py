@@ -17,7 +17,7 @@ from maltkit.congruence import (
     quotient,
     quotient_congruence,
 )
-from maltkit.errors import LatticeBudgetExceeded, NotACongruence
+from maltkit.errors import InvariantViolation, LatticeBudgetExceeded, NotACongruence
 
 import law_oracle
 
@@ -48,6 +48,20 @@ def test_canonical_form():
     assert c.block_index == (0, 1, 0, 1)
     with pytest.raises(Exception):
         Congruence(3, (1, 0, 0))
+
+
+@pytest.mark.parametrize("size, blocks, law, witness", [
+    (3, [[0], [2]], "blocks-cover-carrier", 1),
+    (10**11, [[0]], "blocks-cover-carrier", 1),
+    (3, [[0, 1], [1, 2]], "blocks-partition", 1),
+    (3, [[0, 3], [1, 2]], "blocks-partition", 3),
+])
+def test_from_blocks_witness(size, blocks, law, witness):
+    """Coverage is decided by counting, so a huge carrier costs nothing; the
+    witness is the least element no block holds."""
+    with pytest.raises(InvariantViolation) as exc:
+        Congruence.from_blocks(size, blocks)
+    assert (exc.value.law, exc.value.witness) == (law, witness)
 
 
 def test_cg_examples(z4):

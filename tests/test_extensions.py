@@ -25,6 +25,8 @@ from maltkit.rings import (
     zero_module,
 )
 
+import law_oracle
+
 
 def id_form(ring, name=""):
     return LinearForm(module_over_self(ring), tuple(range(ring.size)), name=name)
@@ -109,16 +111,43 @@ def test_crext_hom_set_fibre_sizes():
             assert total_size == base_size * nk * nb ** (n - 1)
 
 
+def bimodule_corpus(forms):
+    """Each form with the shifted regular, shifted zero and cone bimodules."""
+    return [
+        (name, form, bim)
+        for name, form in forms
+        for bim in (
+            shifted_module(form, module_over_self(form.ring)),
+            shifted_module(form, zero_module(form.ring)),
+            cone_bimodule(form, *regular_bimodule(form.ring)),
+        )
+    ]
+
+
 def test_split_extension_roundtrip(forms):
-    by_name = dict(forms)
-    f4 = by_name["id-Z4"]
-    grp, left, right = regular_bimodule(f4.ring)
-    bim = cone_bimodule(f4, grp, left, right)
-    ext = trivial_form_extension(bim)
-    report = crext_check(ext)
-    assert report.ok
-    assert report.bimodule.bgroup.size == bim.bgroup.size
-    assert report.bimodule.kmodule.size == bim.kmodule.size
+    """The split extension of a bimodule is singular and induces the same
+    bimodule again, table for table."""
+    for name, _, bim in bimodule_corpus(forms):
+        report = crext_check(trivial_form_extension(bim))
+        assert report.ok, name
+        induced = report.bimodule.to_json()
+        assert {**induced, "name": bim.name} == bim.to_json(), name
+
+
+def test_derivations_agree_with_oracle(forms):
+    for name, form, bim in bimodule_corpus(forms):
+        rep = enumerate_derivations(form, bim)
+        der, inner, h0, h1_order = law_oracle.derivations(form, bim)
+        assert {(t.d, t.nabla) for t in rep.derivations} == der, name
+        assert len(rep.derivations) == len(der), name
+        assert {(t.d, t.nabla) for t in rep.inner} == inner, name
+        assert len(rep.inner) == len(inner), name
+        assert (rep.h0, rep.h1_order) == (h0, h1_order), name
+        # one representative in each coset of Ider
+        B, K = bim.bgroup, bim.kmodule
+        cosets = {frozenset((tuple(map(B.plus, t.d, d)), tuple(map(K.plus, t.nabla, n)))
+                            for d, n in inner) for t in rep.h1_reps}
+        assert len(cosets) == h1_order and all((t.d, t.nabla) in der for t in rep.h1_reps), name
 
 
 def test_derivations_id_z4_cone(forms):
@@ -156,15 +185,9 @@ def test_derivations_zero_bimodule(forms):
 
 
 def test_derivations_cardinality_identity_on_pairs(forms):
-    for _, form in forms:
-        candidates = [
-            shifted_module(form, module_over_self(form.ring)),
-            shifted_module(form, zero_module(form.ring)),
-            cone_bimodule(form, *regular_bimodule(form.ring)),
-        ]
-        for bim in candidates:
-            rep = enumerate_derivations(form, bim)
-            assert len(rep.h0) * len(rep.derivations) == bim.kmodule.size * rep.h1_order
+    for _, form, bim in bimodule_corpus(forms):
+        rep = enumerate_derivations(form, bim)
+        assert len(rep.h0) * len(rep.derivations) == bim.kmodule.size * rep.h1_order
 
 
 def test_lift_maltsev_preimage_already_maltsev():
