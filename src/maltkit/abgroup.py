@@ -1,5 +1,7 @@
 """Finite abelian groups given by addition tables, plus hom/iso enumeration
-and quotient-by-presentation via integer Smith normal form."""
+and quotient-by-presentation via integer Smith normal form.  A group holds
+its addition as a read-only (size, size) array and its negation as a
+(size,) array (see `algebra`)."""
 
 from __future__ import annotations
 
@@ -9,25 +11,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import mixed_index, mixed_unindex
+from .algebra import mixed_index, mixed_unindex, same_tables
 from .errors import InternalError, InvariantViolation
-from .laws import require, require_range
+from .laws import as_table, require
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AbelianGroup:
     size: int
-    add: tuple[int, ...]  # flat size*size table, row-major
+    addition: np.ndarray  # (size, size)
+
+    __eq__ = same_tables
 
     def __post_init__(self):
         n = self.size
-        if len(self.add) != n * n:
-            raise InvariantViolation("abgroup-table-length", len(self.add))
-        require_range("abgroup-entry", self.add, n)
-        add = np.reshape(self.add, (n, n))
+        add = as_table(self.addition, (n, n), n, "abgroup-entry", "abgroup-table-length")
+        object.__setattr__(self, "addition", add)
         units = np.flatnonzero((add == np.arange(n)).all(axis=1))
         if not units.size:
-            raise InvariantViolation("abgroup-zero", self.add)
+            raise InvariantViolation("abgroup-zero", tuple(add.ravel().tolist()))
         zero = int(units[0])
         inverse = add == zero
         missing = np.flatnonzero(~inverse.any(axis=1))
@@ -37,14 +39,13 @@ class AbelianGroup:
             ("abgroup-commutative", lambda a, b: add[a, b] == add[b, a]),
             ("abgroup-associative", lambda a, b, c: add[add[a, b], c] == add[a, add[b, c]]),
         ])
+        neg = inverse.argmax(axis=1)
+        neg.setflags(write=False)
         object.__setattr__(self, "zero", zero)
-        object.__setattr__(self, "neg", tuple(inverse.argmax(axis=1).tolist()))
-
-    def plus(self, a: int, b: int) -> int:
-        return self.add[a * self.size + b]
+        object.__setattr__(self, "neg", neg)
 
     def minus(self, a: int, b: int) -> int:
-        return self.plus(a, self.neg[b])
+        return int(self.addition[a, self.neg[b]])
 
     @classmethod
     def cyclic(cls, n: int) -> "AbelianGroup":
@@ -57,6 +58,7 @@ class AbelianGroup:
 
 def generating_sequence(g: AbelianGroup) -> list[int]:
     """Greedy generating sequence: extend whenever an element is not yet spanned."""
+    add = g.addition.tolist()  # Python lists for the scalar loop
     span = {g.zero}
     gens = []
     for x in range(g.size):
@@ -67,7 +69,7 @@ def generating_sequence(g: AbelianGroup) -> list[int]:
         while frontier:
             y = frontier.pop()
             for s in list(span):
-                v = g.plus(s, y)
+                v = add[s][y]
                 if v not in span:
                     span.add(v)
                     frontier.append(v)
@@ -84,6 +86,7 @@ def extend_additive(src: AbelianGroup, dst: AbelianGroup, images):
     pairs do not reach x; conflict is the first element found with two
     different images, and None when there is none.
     """
+    sadd, dadd = src.addition.tolist(), dst.addition.tolist()  # lists for the scalar loop
     table = [None] * src.size
     table[src.zero] = dst.zero
     frontier = [src.zero]
@@ -98,8 +101,8 @@ def extend_additive(src: AbelianGroup, dst: AbelianGroup, images):
             for u in range(src.size):
                 if table[u] is None:
                     continue
-                v = src.plus(u, y)
-                w = dst.plus(table[u], table[y])
+                v = sadd[u][y]
+                w = dadd[table[u]][table[y]]
                 if table[v] is None:
                     table[v] = w
                     frontier.append(v)
@@ -228,7 +231,7 @@ def group_from_presentation(ngens: int, relations: list[list[int]]):
     size = math.prod(moduli)
     elems = mixed_unindex(moduli, np.arange(size))
     table = mixed_index(moduli, [(x[:, None] + x) % m for x, m in zip(elems, moduli)])
-    group = AbelianGroup(size, tuple(np.broadcast_to(table, (size, size)).ravel().tolist()))
+    group = AbelianGroup(size, np.broadcast_to(table, (size, size)))
     # generator g is the element with coordinates V[c][g] mod diag[c]; the
     # entries of V can exceed int64, so they are reduced as Python ints
     residues = np.array([V[c] for c in keep], dtype=object).reshape(len(keep), ngens)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,7 +38,7 @@ from .errors import (
     NotAbelian,
     NotMaltsev,
 )
-from .laws import first_violation, require_range
+from .laws import as_table, first_violation
 from .maltsev import is_maltsev_table
 from .rings import FiniteRing, LeftModule, LinearForm
 
@@ -82,7 +83,7 @@ def projection(form: LinearForm, arity: int, i: int) -> AffinityOp:
 def canonical_maltsev(form: LinearForm) -> AffinityOp:
     """<0; -1, 1>: the unique Maltsev operation, acting as a_0 - a_1 + a_2."""
     R = form.ring
-    return AffinityOp(form.module.zero, (R.neg(R.one), R.one))
+    return AffinityOp(form.module.zero, (int(R.additive_group().neg[R.one]), R.one))
 
 
 def compose_affinity(form: LinearForm, outer: AffinityOp, inners) -> AffinityOp:
@@ -104,21 +105,22 @@ def compose_affinity(form: LinearForm, outer: AffinityOp, inners) -> AffinityOp:
     for v in inners:
         validate_op(form, v)
     R, M = form.ring, form.module
+    radd, rmul, madd, mact = R.addition, R.multiplication, M.addition, M.action
     x = outer.m_part
     one_minus_dx = R.minus(R.one, form.d[x])
 
-    m_acc = M.plus(x, M.smul(one_minus_dx, inners[0].m_part))
+    m_acc = madd[x, mact[one_minus_dx, inners[0].m_part]]
     for r, v in zip(outer.r_parts, inners[1:]):
-        m_acc = M.plus(m_acc, M.smul(r, M.minus(v.m_part, inners[0].m_part)))
+        m_acc = madd[m_acc, mact[r, M.minus(v.m_part, inners[0].m_part)]]
 
     new_r = []
     for j in range(k - 1):
         s0 = inners[0].r_parts[j]
-        acc = R.mulv(one_minus_dx, s0)
+        acc = rmul[one_minus_dx, s0]
         for r, v in zip(outer.r_parts, inners[1:]):
-            acc = R.plus(acc, R.mulv(r, R.minus(v.r_parts[j], s0)))
-        new_r.append(acc)
-    return AffinityOp(m_acc, tuple(new_r))
+            acc = radd[acc, rmul[r, R.minus(v.r_parts[j], s0)]]
+        new_r.append(int(acc))
+    return AffinityOp(int(m_acc), tuple(new_r))
 
 
 def is_maltsev_op(form: LinearForm, op: AffinityOp) -> bool:
@@ -161,10 +163,6 @@ class FreeAffinity:
         """canonical_affinity_tables of this affinity, built once."""
         return canonical_affinity_tables(self.form, self.rank)
 
-    def herd(self, u, v, w):
-        n, herd, _, _ = self.tables
-        return herd[(u * n + v) * n + w]
-
     def evaluate(self, op: AffinityOp, args):
         """Chain the primitive operations exactly as the theory prescribes.
 
@@ -172,30 +170,25 @@ class FreeAffinity:
         """
         if len(args) != op.arity:
             raise ArityError(f"op arity {op.arity}, got {len(args)} arguments")
-        n, herd, raction, phi = self.tables
+        _, herd, raction, phi = self.tables
         base = args[0]
-        acc = phi[op.m_part * n + base]
+        acc = phi[op.m_part, base]
         for r, a in zip(op.r_parts, args[1:]):
-            acc = herd[(acc * n + base) * n + raction[(r * n + base) * n + a]]
+            acc = herd[acc, base, raction[r, base, a]]
         return acc
 
-    def op_table(self, op: AffinityOp) -> tuple[int, ...]:
+    def op_table(self, op: AffinityOp) -> np.ndarray:
+        """The values of the operation on this affinity, shape (size,)*arity."""
         n = self.size
-        values = self.evaluate(op, np.ix_(*[np.arange(n)] * op.arity))
-        return tuple(np.broadcast_to(values, (n,) * op.arity).ravel().tolist())
+        return np.broadcast_to(self.evaluate(op, np.ix_(*[np.arange(n)] * op.arity)),
+                               (n,) * op.arity)
 
     def algebra(self) -> FiniteAlgebra:
         """The free affinity as a finite algebra with the primitive operations."""
         n, herd, raction, phi = self.tables
-        ops = [Operation("herd", 3, tuple(herd.tolist()))]
-        ops += [
-            Operation(f"sc{r}", 2, tuple(table.tolist()))
-            for r, table in enumerate(raction.reshape(-1, n * n))
-        ]
-        ops += [
-            Operation(f"ph{x}", 1, tuple(table.tolist()))
-            for x, table in enumerate(phi.reshape(-1, n))
-        ]
+        ops = [Operation("herd", 3, herd)]
+        ops += [Operation(f"sc{r}", 2, table) for r, table in enumerate(raction)]
+        ops += [Operation(f"ph{x}", 1, table) for x, table in enumerate(phi)]
         return FiniteAlgebra(n, tuple(ops), name=f"free-affinity-{self.rank}")
 
 
@@ -234,24 +227,23 @@ def affinity_axiom_check(
 ) -> AffinityCheckReport:
     """Exhaustively check the affinity identities over the given tables.
 
-    herd is a flat size^3 table b +_a c indexed (b, a, c); raction a flat
-    |R| x size x size table r_a b indexed (r, a, b); phi a flat
-    |M| x size table indexed (x, a).  The laws are checked one after the
-    other, each over all its tuples in lexicographic order.
+    herd is the table b +_a c indexed (b, a, c), shape (size,)*3; raction
+    the table r_a b indexed (r, a, b), shape (|R|, size, size); phi the
+    table indexed (x, a), shape (|M|, size).  Each may also be given in
+    flat row-major order.  The laws are checked one after the other, each
+    over all its tuples in lexicographic order.
     """
     R, M = form.ring, form.module
     n, nr, nm = size, R.size, M.size
-    if len(herd) != n**3 or len(raction) != nr * n * n or len(phi) != nm * n:
+    shapes = ((n, n, n), (nr, n, n), (nm, n))
+    if any(np.size(t) != math.prod(s) for t, s in zip((herd, raction, phi), shapes)):
         raise InvariantViolation("affinity-table-length", None)
-    for table in (herd, raction, phi):
-        require_range("affinity-table-entry", table, n)
-    H = np.reshape(herd, (n, n, n))
-    A = np.reshape(raction, (nr, n, n))
-    P = np.reshape(phi, (nm, n))
-    radd, rmul = np.reshape(R.add, (nr, nr)), np.reshape(R.mul, (nr, nr))
-    madd, mact = np.reshape(M.add, (nm, nm)), np.reshape(M.act, (nr, nm))
-    minus_one = R.neg(R.one)
-    one_minus_d = np.array([R.minus(R.one, v) for v in form.d])
+    H, A, P = (as_table(t, s, n, "affinity-table-entry", None)
+               for t, s in zip((herd, raction, phi), shapes))
+    radd, rmul, madd, mact = R.addition, R.multiplication, M.addition, M.action
+    rneg = R.additive_group().neg
+    minus_one = rneg[R.one]
+    one_minus_d = radd[R.one, rneg[form.d]]
 
     def sub(b, a, c):  # b -_a c = b +_a (-1)_a c
         return H[b, a, A[minus_one, a, c]]
@@ -288,8 +280,8 @@ def affinity_axiom_check(
 
 
 def canonical_affinity_tables(form: LinearForm, rank: int = 1):
-    """Flat tables (size, herd, raction, phi) of the free affinity of the
-    given rank, in the layout affinity_axiom_check reads.
+    """Tables (size, herd, raction, phi) of the free affinity of the given
+    rank, in the shapes affinity_axiom_check reads.
 
     An element is its coordinates (m, r_1, ..., r_{rank-1}) in M x R^(rank-1),
     encoded by `mixed_index` with the module part most significant; addition,
@@ -300,9 +292,8 @@ def canonical_affinity_tables(form: LinearForm, rank: int = 1):
     R, M = form.ring, form.module
     nr, nm, k = R.size, M.size, rank - 1
     n = nm * nr**k
-    radd, rmul = np.reshape(R.add, (nr, nr)), np.reshape(R.mul, (nr, nr))
-    madd, mact = np.reshape(M.add, (nm, nm)), np.reshape(M.act, (nr, nm))
-    rneg, mneg = np.asarray(R.additive_group().neg), np.asarray(M.additive_group().neg)
+    radd, rmul, madd, mact = R.addition, R.multiplication, M.addition, M.action
+    rneg, mneg = R.additive_group().neg, M.additive_group().neg
     sizes = (nm,) + (nr,) * k
     coords = mixed_unindex(sizes, np.arange(n))
 
@@ -319,13 +310,13 @@ def canonical_affinity_tables(form: LinearForm, rank: int = 1):
         return [c.reshape((-1,) + (1,) * (dims - 1 - i)) for c in coords]
 
     b, a, c = axis(0, 3), axis(1, 3), axis(2, 3)
-    herd = mixed_index(sizes, plus(plus(b, neg(a)), c)).ravel()
+    herd = mixed_index(sizes, plus(plus(b, neg(a)), c))
     r = np.arange(nr).reshape(-1, 1, 1)
     one_minus_r = radd[R.one, rneg[r]]
-    raction = mixed_index(sizes, plus(smul(one_minus_r, a), smul(r, c))).ravel()
+    raction = mixed_index(sizes, plus(smul(one_minus_r, a), smul(r, c)))
     x = np.arange(nm).reshape(-1, 1)
-    one_minus_dx = radd[R.one, rneg[np.asarray(form.d)]].reshape(-1, 1)
-    phi = mixed_index(sizes, plus([x] + [R.zero] * k, smul(one_minus_dx, axis(1, 2)))).ravel()
+    one_minus_dx = radd[R.one, rneg[form.d]][:, None]
+    phi = mixed_index(sizes, plus([x] + [R.zero] * k, smul(one_minus_dx, axis(1, 2))))
     return n, herd, raction, phi
 
 
@@ -378,39 +369,40 @@ def abelianize(
     n = alg.size
     if n == 0:
         raise NotAbelian("the empty algebra has no unary clone to abelianise")
-    if not is_maltsev_table(m.table, n):
+    if not is_maltsev_table(m.values, n):
         raise NotMaltsev("supplied term fails the Maltsev identities")
     if not assume_abelian and not is_abelian(alg, m):
         raise NotAbelian("algebra is not abelian")
 
     unary = term_clone(alg, 1, budget)
     binary = tuple(_binary_terms(alg, budget))
-    ring_terms = tuple(t for t in binary if all(t.table[x * (n + 1)] == x for x in range(n)))
-    U, B = np.array([t.table for t in unary]), np.array([t.table for t in ring_terms])
-    M = np.asarray(m.table).reshape(n, n, n)
-    a, b = np.divmod(np.arange(n * n), n)
+    x = np.arange(n)
+    ring_terms = tuple(t for t in binary if (np.diagonal(t.values) == x).all())
+    # the stacks of unary (count, n) and convex binary (count, n, n) tables
+    U, B = np.array([t.values for t in unary]), np.array([t.values for t in ring_terms])
+    M, a = m.values, x[:, None]
 
     def slots(rows, clone, kind):
         """The index in clone of each table in the stack rows."""
         index = {row.tobytes(): i for i, row in enumerate(clone)}
-        out = [index.get(row.tobytes(), -1) for row in rows.reshape(-1, clone.shape[1])]
+        out = [index.get(row.tobytes(), -1) for row in rows.reshape((-1,) + clone.shape[1:])]
         if -1 in out:
             raise InternalError(f"{kind} clone not closed under the derived laws")
         return out
 
-    m_add = slots(M[U[:, None], np.arange(n), U], U, "unary")
+    m_add = slots(M[U[:, None], x, U], U, "unary")
     r_add = slots(M[B[:, None], a, B], B, "convex binary")
-    r_mul = slots(B[np.arange(len(B))[:, None, None], a * n + B], B, "convex binary")
-    act = slots(B[:, np.arange(n) * n + U], U, "unary")
-    dvals = slots(M[U[:, a], U[:, b], b], B, "convex binary")
-    zero, one = slots(np.stack([a, b]), B, "convex binary")
+    r_mul = slots(B[np.arange(len(B))[:, None, None, None], a, B], B, "convex binary")
+    act = slots(B[:, x, U], U, "unary")
+    dvals = slots(M[U[:, :, None], U[:, None], x], B, "convex binary")
+    zero, one = slots(np.indices((n, n)), B, "convex binary")
     try:
-        ring = FiniteRing(len(ring_terms), tuple(r_add), tuple(r_mul), zero, one)
-        module = LeftModule(ring, len(unary), tuple(m_add), tuple(act))
-        form = LinearForm(module, tuple(dvals))
+        ring = FiniteRing(len(ring_terms), r_add, r_mul, zero, one)
+        module = LeftModule(ring, len(unary), m_add, act)
+        form = LinearForm(module, dvals)
     except InvariantViolation as exc:
         raise NotAbelian(f"derived structure fails a law: {exc}") from exc
-    if module.zero != slots(np.arange(n), U, "unary")[0]:
+    if module.zero != slots(x, U, "unary")[0]:
         raise InternalError("identity term is not the module zero")
     return Abelianization(form, unary, ring_terms)
 
@@ -434,9 +426,8 @@ def form_isomorphism(f1: LinearForm, f2: LinearForm):
     """A pair (ring iso, module iso) intertwining the two forms, or None."""
     R1, R2 = f1.ring, f2.ring
     M1, M2 = f1.module, f2.module
-    mul1, mul2 = np.reshape(R1.mul, (R1.size,) * 2), np.reshape(R2.mul, (R2.size,) * 2)
-    act1, act2 = np.reshape(M1.act, (R1.size, M1.size)), np.reshape(M2.act, (R2.size, M2.size))
-    d1, d2 = np.asarray(f1.d), np.asarray(f2.d)
+    mul1, mul2, act1, act2 = R1.multiplication, R2.multiplication, M1.action, M2.action
+    d1, d2 = f1.d, f2.d
     for f in isomorphisms(R1.additive_group(), R2.additive_group()):
         F = np.asarray(f)
         if f[R1.one] != R2.one or first_violation((R1.size,) * 2, [
@@ -470,7 +461,7 @@ def roundtrip_check(
     alg = fa.algebra()
     herd_term = TermOp(
         3,
-        alg.op("herd").table,
+        alg.op("herd").values,
         ("herd", ("var", 0), ("var", 1), ("var", 2)),
     )
     ab = abelianize(alg, herd_term, budget, assume_abelian=True)
@@ -482,9 +473,7 @@ def roundtrip_check(
 
 def pseudoconstants(form: LinearForm) -> tuple[int, ...]:
     """Elements p of M with d(p) = 1; non-empty iff 1 lies in the image of d."""
-    return tuple(
-        x for x in range(form.module.size) if form.d[x] == form.ring.one
-    )
+    return tuple(np.flatnonzero(form.d == form.ring.one).tolist())
 
 
 # --- the with-constants theory of a ring-module pair ----------------------
@@ -529,6 +518,7 @@ class TheoryWithConstants:
     def compose(self, outer, inner, n: int, l: int):
         """outer: X^n -> X^k after inner: X^l -> X^n (n = middle arity)."""
         K, R = self.kmodule, self.ring
+        kadd, kact, radd, rmul = K.addition, K.action, R.addition, R.multiplication
         if len(inner) != n:
             raise ArityError("middle arity mismatch")
         out = []
@@ -538,9 +528,9 @@ class TheoryWithConstants:
             k_acc = kappa
             r_acc = [R.zero] * l
             for coeff, (kappa2, rho2) in zip(rho, inner):
-                k_acc = K.plus(k_acc, K.smul(coeff, kappa2))
+                k_acc = int(kadd[k_acc, kact[coeff, kappa2]])
                 for t in range(l):
-                    r_acc[t] = R.plus(r_acc[t], R.mulv(coeff, rho2[t]))
+                    r_acc[t] = int(radd[r_acc[t], rmul[coeff, rho2[t]]])
             out.append((k_acc, tuple(r_acc)))
         return tuple(out)
 
@@ -554,9 +544,8 @@ class TheoryWithConstants:
         once as arrays of its kappa (H, k) and rho (H, k, n) parts, and
         composition as a table of the kappa parts of all composites."""
         K = self.kmodule
-        kadd = np.reshape(K.add, (K.size, K.size))
-        kact = np.reshape(K.act, (self.ring.size, K.size))
-        kminus = kadd[:, list(K.additive_group().neg)]
+        kadd, kact = K.addition, K.action
+        kminus = kadd[:, K.additive_group().neg]
         homs, parts = {}, {}
         for n, k in itertools.product(range(max_arity + 1), repeat=2):
             homs[n, k] = hom = self.hom(n, k)

@@ -1,12 +1,18 @@
 """Finite algebras as dense operation tables.
 
-Elements are the integers 0..size-1.  A k-ary operation is stored as a flat
-table of length size**k in mixed-radix order with the *leftmost* argument
-most significant: the tuple (a1, ..., ak) lives at index
-a1*size**(k-1) + a2*size**(k-2) + ... + ak.  This encoding is part of the
-exchange contract (files, JSON, products) and is shared by every module.
+Elements are the integers 0..size-1.  In memory every table of every
+structure of maltkit is a read-only int64 numpy array shaped by its
+quantifiers, built and range-checked once by the structure's constructor
+(`laws.as_table`): a k-ary operation is an array of shape (size,)*k, indexed
+by its arguments, op.values[a1, ..., ak].  Constructors accept any integer
+sequence in flat row-major order.
 
-Nullary operations are tables of length 1; they seed subuniverse and clone
+The flat order, with the *leftmost* argument most significant, so that
+(a1, ..., ak) lives at index a1*size**(k-1) + ... + ak, is the exchange
+contract only: files, JSON and the `table` view of an Operation.  Product
+carriers are coded in the same order by `mixed_index`.
+
+Nullary operations are arrays of shape (); they seed subuniverse and clone
 generation.  The empty algebra (size 0) is permitted and cannot carry
 nullary operations.
 """
@@ -14,7 +20,7 @@ nullary operations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -26,23 +32,6 @@ DEFAULT_CLONE_BUDGET = 200_000
 CODE_BITS = 62  # the clone engine looks tables up by integer codes below 2**CODE_BITS
 TABLE_ENTRIES = 1 << 16  # most entries of an operation table of the clone engine on A^w
 CACHE_SLOTS = 1 << 17  # most slots of the clone engine's code cache
-
-
-def tuple_index(size: int, args) -> int:
-    """Flat index of an argument tuple, leftmost argument most significant."""
-    idx = 0
-    for a in args:
-        idx = idx * size + a
-    return idx
-
-
-def index_tuple(size: int, arity: int, idx: int) -> tuple[int, ...]:
-    """Inverse of tuple_index."""
-    out = [0] * arity
-    for i in range(arity - 1, -1, -1):
-        out[i] = idx % size
-        idx //= size
-    return tuple(out)
 
 
 def mixed_index(sizes, values):
@@ -67,14 +56,37 @@ def mixed_unindex(sizes, idx):
     return tuple(out)
 
 
-@dataclass(frozen=True)
+def same_tables(a, b):
+    """Value equality of structures, the __eq__ of every structure that holds
+    tables: one class, and every compared field equal, arrays entrywise and
+    nested structures alike; names are not compared."""
+    if type(a) is not type(b):
+        return NotImplemented
+    return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a) if f.compare)
+
+
+def _same(u, v) -> bool:
+    if isinstance(u, np.ndarray):
+        return np.array_equal(u, v)
+    if isinstance(u, tuple):
+        return len(u) == len(v) and all(map(_same, u, v))
+    return u == v
+
+
+@dataclass(frozen=True, eq=False)
 class Operation:
+    """A named operation; inside a FiniteAlgebra its values are an array of
+    shape (size,)*arity."""
+
     name: str
     arity: int
-    table: tuple[int, ...]
+    values: np.ndarray
+
+    __eq__ = same_tables
+    table = property(lambda self: np.ravel(self.values), doc="flat exchange view")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteAlgebra:
     """A carrier size together with named finitary operations."""
 
@@ -82,44 +94,32 @@ class FiniteAlgebra:
     ops: tuple[Operation, ...]
     name: str = field(default="", compare=False)
 
+    __eq__ = same_tables
+
     def __post_init__(self):
-        object.__setattr__(self, "ops", tuple(self.ops))
         if self.size < 0:
             raise InvariantViolation("size-nonnegative", self.size)
-        seen = set()
+        seen, ops = set(), []
         for op in self.ops:
             if op.name in seen:
                 raise InvariantViolation("op-names-unique", op.name)
             seen.add(op.name)
             if op.arity < 0:
                 raise InvariantViolation("op-arity-nonnegative", op.name)
-            expected = self.size**op.arity
-            if len(op.table) != expected:
+            expected, length = self.size**op.arity, np.size(op.values)
+            if length != expected:
                 raise InvariantViolation(
-                    "op-table-length",
-                    (op.name, len(op.table), expected),
-                    f"table of {op.name}/{op.arity} has length {len(op.table)}, expected {expected}",
-                )
-            for v in op.table:
-                if not 0 <= v < self.size:
-                    raise InvariantViolation("op-table-entry", (op.name, v))
+                    "op-table-length", (op.name, length, expected),
+                    f"table of {op.name}/{op.arity} has length {length}, expected {expected}")
+            ops.append(Operation(op.name, op.arity, laws.as_table(
+                op.values, (self.size,) * op.arity, self.size, "op-table-entry", None, (op.name,))))
+        object.__setattr__(self, "ops", tuple(ops))
 
     def op(self, name: str) -> Operation:
         for op in self.ops:
             if op.name == name:
                 return op
         raise KeyError(name)
-
-    def apply(self, op: Operation | str, args) -> int:
-        if isinstance(op, str):
-            op = self.op(op)
-        return op.table[tuple_index(self.size, args)]
-
-    def op_array(self, op: Operation | str) -> np.ndarray:
-        """Operation table reshaped to (size,)*arity for vectorised lookups."""
-        if isinstance(op, str):
-            op = self.op(op)
-        return np.asarray(op.table, dtype=np.int64).reshape((self.size,) * op.arity)
 
     @cached_property
     def translations(self) -> np.ndarray:
@@ -130,7 +130,7 @@ class FiniteAlgebra:
         free position, then the frozen arguments in lexicographic order.
         """
         rows = [
-            np.moveaxis(self.op_array(op), pos, -1).reshape(-1, self.size)
+            np.moveaxis(op.values, pos, -1).reshape(-1, self.size)
             for op in self.ops
             for pos in range(op.arity)
             if self.size
@@ -155,35 +155,33 @@ class FiniteAlgebra:
             "name": self.name,
             "size": self.size,
             "ops": [
-                {"name": op.name, "arity": op.arity, "table": list(op.table)}
+                {"name": op.name, "arity": op.arity, "table": op.table.tolist()}
                 for op in self.ops
             ],
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Homomorphism:
     source: FiniteAlgebra
     target: FiniteAlgebra
-    map: tuple[int, ...]
+    map: np.ndarray  # (source.size,)
+
+    __eq__ = same_tables
 
     def __post_init__(self):
-        if len(self.map) != self.source.size:
-            raise InvariantViolation("hom-map-length", len(self.map))
-        for v in self.map:
-            if not 0 <= v < self.target.size:
-                raise InvariantViolation("hom-map-entry", v)
+        object.__setattr__(self, "map", laws.as_table(
+            self.map, (self.source.size,), self.target.size, "hom-map-entry", "hom-map-length"))
 
 
 def is_homomorphism(h: Homomorphism) -> bool:
     """Exhaustively check that h.map commutes with every shared operation."""
     if h.source.signature() != h.target.signature():
         raise SignatureError("source and target signatures differ")
-    hmap = np.asarray(h.map)
     for op in h.source.ops:
-        src, tgt = h.source.op_array(op), h.target.op_array(op.name)
+        src, tgt = op.values, h.target.op(op.name).values
         if laws.first_violation((h.source.size,) * op.arity, [
-                (op.name, lambda *a: hmap[src[a]] == tgt[tuple(hmap[x] for x in a)])]):
+                (op.name, lambda *a: h.map[src[a]] == tgt[tuple(h.map[x] for x in a)])]):
             return False
     return True
 
@@ -205,11 +203,10 @@ def product(algebras) -> FiniteAlgebra:
     n = math.prod(sizes)
     ops = []
     for name, arity in sig:
-        # one column per argument tuple; a nullary operation has one, the empty tuple
-        args = mixed_unindex(sizes, np.indices((n,) * arity).reshape(arity, n**arity))
-        value = [alg.op_array(name)[tuple(a)] for alg, a in zip(algebras, args)]
-        table = np.reshape(mixed_index(sizes, value), -1)
-        ops.append(Operation(name, arity, tuple(table.tolist())))
+        # the factor coordinates of each argument, as open grids over the arguments
+        args = [mixed_unindex(sizes, g) for g in np.ix_(*[np.arange(n)] * arity)]
+        value = [alg.op(name).values[tuple(a[i] for a in args)] for i, alg in enumerate(algebras)]
+        ops.append(Operation(name, arity, mixed_index(sizes, value)))
     return FiniteAlgebra(n, tuple(ops))
 
 
@@ -228,13 +225,26 @@ def subuniverse_generate(alg: FiniteAlgebra, generators) -> tuple[int, ...]:
     return tuple(sorted(v for rows, _ in blocks for v in rows[:, 0].tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TermOp:
-    """A term operation: dense table plus the witness term that produced it."""
+    """A term operation: its values, an array of shape (n,)*arity built from
+    any integer sequence of n**arity entries, plus the witness term that
+    produced it."""
 
     arity: int
-    table: tuple[int, ...]
+    values: np.ndarray
     witness: tuple = field(default=None, compare=False)
+
+    __eq__ = same_tables
+
+    def __post_init__(self):
+        values = np.array(self.values, dtype=np.int64)
+        shape = (round(values.size ** (1 / self.arity)),) * self.arity if self.arity else ()
+        if math.prod(shape) != values.size:
+            raise InvariantViolation("term-table-length", values.size)
+        values = values.reshape(shape)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     def term_str(self) -> str:
         return term_to_str(self.witness) if self.witness is not None else "?"
@@ -253,8 +263,7 @@ def eval_term(alg: FiniteAlgebra, term, args) -> int:
     """Evaluate a witness term on concrete arguments of alg."""
     if term[0] == "var":
         return args[term[1]]
-    op = alg.op(term[0])
-    return alg.apply(op, tuple(eval_term(alg, t, args) for t in term[1:]))
+    return int(alg.op(term[0]).values[tuple(eval_term(alg, t, args) for t in term[1:])])
 
 
 def _projections(n: int, arity: int) -> np.ndarray:
@@ -392,7 +401,7 @@ def _term_blocks(alg: FiniteAlgebra, gens, budget: int, cols=None):
     # dtype that indexes those tables)
     ops = []
     for op in alg.ops:
-        flat = np.asarray(op.table, dtype)
+        flat = op.table.astype(dtype)
         if op.arity == 0:
             ops.append((op, flat, None, None, None))
             continue
@@ -512,7 +521,7 @@ def _term_blocks(alg: FiniteAlgebra, gens, budget: int, cols=None):
             block = full[lo:k]
         index(lo)
         if len(js):
-            yield block, lambda i: TermOp(arity, tuple(block[i].tolist()), witness(lo + i))
+            yield block, lambda i: TermOp(arity, block[i], witness(lo + i))
         if over is not None:
             raise CloneBudgetExceeded(f"clone budget {budget} exceeded at arity {arity}",
                                       count=budget, round=rnd,
@@ -634,6 +643,6 @@ def term_clone(
 
 def clone_to_json(clone) -> list[dict]:
     return [
-        {"arity": t.arity, "table": list(t.table), "witness": t.term_str()}
+        {"arity": t.arity, "table": t.values.ravel().tolist(), "witness": t.term_str()}
         for t in clone
     ]

@@ -109,9 +109,9 @@ def _blocks(cong: Congruence):
 
 
 def _parse_op(text: str) -> AffinityOp:
+    """An argparse type: an operation literal `m,r1,...,rk` of integers; the
+    ValueError of anything else is a usage error."""
     values = [int(v) for v in text.split(",")]
-    if not values:
-        raise MaltkitError("empty operation literal")
     return AffinityOp(values[0], tuple(values[1:]))
 
 
@@ -151,15 +151,15 @@ def _parser() -> _Parser:
     add("center", files, name)
     add("nilpotence", files, name, (("--max",), {"type": _count(0), "default": None}))
     add("affinity-compose", files, (("--form",), {"required": True}),
-        (("--outer",), {"required": True}),
-        (("--inner",), {"action": "append", "default": [], "required": True}))
+        (("--outer",), {"type": _parse_op, "required": True}),
+        (("--inner",), {"type": _parse_op, "action": "append", "default": [], "required": True}))
     add("abelianize", files, name)
     add("roundtrip", files, (("--form",), {"default": None}))
     add("pseudoconstants", files, (("--form",), {"default": None}))
     add("derivations", files, (("--form",), {"required": True}), (("--bim",), {"required": True}))
     add("crext", files, name)
-    add("lift", files, name, (("--image",), {"default": None}),
-        (("--preimage",), {"default": None}))
+    add("lift", files, name, (("--image",), {"type": _parse_op, "default": None}),
+        (("--preimage",), {"type": _parse_op, "default": None}))
     add("trivial-ext", files, (("--monoid",), {"required": True}),
         (("--system",), {"required": True}))
     add("lin-ext-check", files, name)
@@ -216,7 +216,7 @@ def _dispatch(args) -> int:
             "found": term is not None,
             "complete": term is None,
             "term": term.term_str() if term else None,
-            "table": list(term.table) if term else None,
+            "table": term.values.ravel().tolist() if term else None,
         }
         return _emit(args, payload)
 
@@ -268,9 +268,7 @@ def _dispatch(args) -> int:
 
     if args.verb == "affinity-compose":
         form = _single(doc, "forms", args.form, "form")
-        outer = _parse_op(args.outer)
-        inners = [_parse_op(t) for t in args.inner]
-        result = compose_affinity(form, outer, inners)
+        result = compose_affinity(form, args.outer, args.inner)
         return _emit(args, {"result": result.to_json()})
 
     if args.verb == "abelianize":
@@ -302,9 +300,8 @@ def _dispatch(args) -> int:
 
     if args.verb == "lift":
         ext = _single(doc, "crexts", args.name, "extension diagram")
-        image = _parse_op(args.image) if args.image else canonical_maltsev(ext.base)
-        preimage = _parse_op(args.preimage) if args.preimage else None
-        lifted = lift_maltsev(ext, image, preimage)
+        image = canonical_maltsev(ext.base) if args.image is None else args.image
+        lifted = lift_maltsev(ext, image, args.preimage)
         return _emit(args, {"lifted": lifted.to_json()})
 
     if args.verb == "trivial-ext":

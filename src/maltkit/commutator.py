@@ -36,9 +36,9 @@ from .maltsev import TernaryTable, check_associative, is_maltsev_table, restrict
 
 
 def _require_maltsev(alg: FiniteAlgebra, p: TermOp):
-    if p.arity != 3 or len(p.table) != alg.size**3:
+    if p.arity != 3 or p.values.shape != (alg.size,) * 3:
         raise NotMaltsev("term must be ternary over the algebra's carrier")
-    if not is_maltsev_table(p.table, alg.size):
+    if not is_maltsev_table(p.values, alg.size):
         raise NotMaltsev("term fails the Maltsev identities")
 
 
@@ -54,11 +54,10 @@ def centralize(alg: FiniteAlgebra, R: Congruence, S: Congruence, p: TermOp) -> b
     The answer does not depend on the choice of Maltsev term.
     """
     _require_maltsev(alg, p)
-    n = alg.size
     r, s = _relation(R), _relation(S)
     # the mixed relation {(x,y,z) : x R y, y S z} in lexicographic order
     X, Y, Z = np.nonzero(r[:, :, None] & s[None, :, :])
-    ptab = np.asarray(p.table).reshape((n,) * 3)
+    ptab = p.values
     pv = ptab[X, Y, Z]
     if not (s[X, pv] & r[pv, Z]).all():
         return False
@@ -133,11 +132,9 @@ def commutator(alg: FiniteAlgebra, R: Congruence, S: Congruence, p: TermOp) -> C
 
 def _project_term(p: TermOp, theta: Congruence) -> TermOp:
     """Image of a term operation on the quotient by theta."""
-    n = len(theta.block_index)
     proj = np.asarray(theta.block_index)
     _, reps = np.unique(proj, return_index=True)
-    table = proj[np.asarray(p.table).reshape((n,) * 3)[np.ix_(reps, reps, reps)]]
-    return TermOp(3, tuple(table.ravel().tolist()), p.witness)
+    return TermOp(3, proj[p.values[np.ix_(reps, reps, reps)]], p.witness)
 
 
 def center(alg: FiniteAlgebra, p: TermOp) -> Congruence:
@@ -242,7 +239,7 @@ def is_abelian(alg: FiniteAlgebra, p: TermOp) -> bool:
     total = Congruence.total(alg.size)
     by_commutator = commutator(alg, total, total, p).is_diagonal()
     by_torsor = centralize(alg, total, total, p) and check_associative(
-        TernaryTable.full_from_flat(alg.size, p.table))
+        TernaryTable.full_from_flat(alg.size, p.values))
     if by_commutator != by_torsor:
         raise InternalError("commutator and torsor abelianness criteria disagree")
     return by_commutator

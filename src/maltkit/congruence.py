@@ -278,11 +278,8 @@ def quotient(alg: FiniteAlgebra, theta: Congruence):
         raise NotACongruence(f"partition is not a congruence (witness {witness})")
     proj = np.asarray(theta.block_index)
     _, reps = np.unique(proj, return_index=True)
-    ops = tuple(
-        Operation(op.name, op.arity,
-                  tuple(proj[alg.op_array(op)[np.ix_(*[reps] * op.arity)]].ravel().tolist()))
-        for op in alg.ops
-    )
+    ops = tuple(Operation(op.name, op.arity, proj[op.values[np.ix_(*[reps] * op.arity)]])
+                for op in alg.ops)
     return FiniteAlgebra(theta.nblocks, ops), theta.block_index
 
 

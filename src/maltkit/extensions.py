@@ -17,7 +17,7 @@ from .affinity import (
     is_maltsev_op,
     projection,
 )
-from .algebra import mixed_index, mixed_unindex
+from .algebra import mixed_index, mixed_unindex, same_tables
 from .errors import (
     DerBudgetExceeded,
     DiagramError,
@@ -25,26 +25,29 @@ from .errors import (
     InvariantViolation,
     NotMaltsev,
 )
-from .laws import first_violation
+from .laws import as_table, first_violation
 from .maltsev import TernaryTable, check_maltsev
 from .rings import DBimodule, FiniteRing, LeftModule, LinearForm
 
 DERIVATION_BUDGET = 1_000_000  # most candidate pairs (d, nabla) enumerate_derivations tries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FormExtension:
     """A surjection of linear forms: p on rings over q on modules.
 
     total: d': N -> S, base: d: M -> R, with p: S ->> R a unital ring
     surjection, q: N ->> M additive, q(s.n) = p(s) q(n) and d q = p d'.
+    The maps are held as read-only (|S|,) and (|N|,) arrays.
     """
 
     total: LinearForm
     base: LinearForm
-    ring_map: tuple[int, ...]
-    module_map: tuple[int, ...]
+    ring_map: np.ndarray
+    module_map: np.ndarray
     name: str = field(default="", compare=False)
+
+    __eq__ = same_tables
 
     def __post_init__(self):
         S, R = self.total.ring, self.base.ring
@@ -56,12 +59,14 @@ class FormExtension:
             raise DiagramError("maps must be surjective")
         if p[S.one] != R.one or p[S.zero] != R.zero:
             raise DiagramError("ring map must preserve 0 and 1")
-        P, Q = np.asarray(p), np.asarray(q)
-        sadd, smul = np.reshape(S.add, (S.size, S.size)), np.reshape(S.mul, (S.size, S.size))
-        radd, rmul = np.reshape(R.add, (R.size, R.size)), np.reshape(R.mul, (R.size, R.size))
-        nadd, nact = np.reshape(N.add, (N.size, N.size)), np.reshape(N.act, (S.size, N.size))
-        madd, mact = np.reshape(M.add, (M.size, M.size)), np.reshape(M.act, (R.size, M.size))
-        d_total, d_base = np.asarray(self.total.d), np.asarray(self.base.d)
+        # the checks above leave no entry out of range for as_table to report
+        P = as_table(p, (S.size,), R.size, None, None)
+        Q = as_table(q, (N.size,), M.size, None, None)
+        object.__setattr__(self, "ring_map", P)
+        object.__setattr__(self, "module_map", Q)
+        sadd, smul, radd, rmul = S.addition, S.multiplication, R.addition, R.multiplication
+        nadd, nact, madd, mact = N.addition, N.action, M.addition, M.action
+        d_total, d_base = self.total.d, self.base.d
         for sizes, laws in (
             ((S.size, S.size), [
                 ("ring map not additive", lambda a, b: P[sadd[a, b]] == radd[P[a], P[b]]),
@@ -80,13 +85,11 @@ class FormExtension:
                 what, witness = hit
                 raise DiagramError(f"{what} at {witness[0] if len(witness) == 1 else witness}")
 
-    def ring_kernel(self) -> tuple[int, ...]:
-        S, R = self.total.ring, self.base.ring
-        return tuple(s for s in range(S.size) if self.ring_map[s] == R.zero)
+    def ring_kernel(self) -> np.ndarray:
+        return np.flatnonzero(self.ring_map == self.base.ring.zero)
 
-    def module_kernel(self) -> tuple[int, ...]:
-        N, M = self.total.module, self.base.module
-        return tuple(x for x in range(N.size) if self.module_map[x] == M.zero)
+    def module_kernel(self) -> np.ndarray:
+        return np.flatnonzero(self.module_map == self.base.module.zero)
 
 
 @dataclass(frozen=True)
@@ -105,14 +108,11 @@ class CrextReport:
         }
 
 
-def _flat(a) -> tuple[int, ...]:
-    return tuple(np.ravel(a).tolist())
-
-
 def _last_lifts(surjection, size):
     """The largest preimage of each of range(size)."""
-    last = dict(zip(surjection, range(len(surjection))))
-    return np.array([last[v] for v in range(size)])
+    last = np.full(size, -1)
+    np.maximum.at(last, surjection, np.arange(len(surjection)))
+    return last
 
 
 def crext_check(ext: FormExtension) -> CrextReport:
@@ -133,10 +133,8 @@ def crext_check(ext: FormExtension) -> CrextReport:
     """
     S, R = ext.total.ring, ext.base.ring
     N, M = ext.total.module, ext.base.module
-    sadd, smul = np.reshape(S.add, (S.size, S.size)), np.reshape(S.mul, (S.size, S.size))
-    nadd, nact = np.reshape(N.add, (N.size, N.size)), np.reshape(N.act, (S.size, N.size))
-    D = np.asarray(ext.total.d)
-    bk, kk = np.asarray(ext.ring_kernel()), np.asarray(ext.module_kernel())
+    sadd, smul, nadd, nact = S.addition, S.multiplication, N.addition, N.action
+    bk, kk = ext.ring_kernel(), ext.module_kernel()
     lr, lm = _last_lifts(ext.ring_map, R.size), _last_lifts(ext.module_map, M.size)
     for sizes, kernels, law, holds in (
         ((bk.size, bk.size), (bk, bk), "ring kernel does not square to zero",
@@ -150,17 +148,15 @@ def crext_check(ext: FormExtension) -> CrextReport:
             return CrextReport(False, law, None, (int(kernels[0][i]), int(kernels[1][j])))
     bslot, kslot = np.full(S.size, -1), np.full(N.size, -1)
     bslot[bk], kslot[kk] = np.arange(bk.size), np.arange(kk.size)
-    bgrp = AbelianGroup(bk.size, _flat(bslot[sadd[np.ix_(bk, bk)]]))
+    bgrp = AbelianGroup(bk.size, bslot[sadd[np.ix_(bk, bk)]])
     try:
-        kmod = LeftModule(R, kk.size, _flat(kslot[nadd[np.ix_(kk, kk)]]),
-                          _flat(kslot[nact[lr[:, None], kk]]))
+        kmod = LeftModule(R, kk.size, kslot[nadd[np.ix_(kk, kk)]], kslot[nact[lr[:, None], kk]])
     except InvariantViolation as exc:
         return CrextReport(False, f"kernel module law fails: {exc}", None, None)
     try:
         bim = DBimodule(
-            ext.base, bgrp, _flat(bslot[smul[lr[:, None], bk]]),
-            _flat(bslot[smul[bk[:, None], lr]]), kmod, _flat(bslot[D[kk]]),
-            _flat(kslot[nact[bk[:, None], lm]]), name=ext.name or "induced",
+            ext.base, bgrp, bslot[smul[lr[:, None], bk]], bslot[smul[bk[:, None], lr]], kmod,
+            bslot[ext.total.d[kk]], kslot[nact[bk[:, None], lm]], name=ext.name or "induced",
         )
     except InvariantViolation as exc:
         return CrextReport(False, f"bimodule law fails: {exc}", None, None)
@@ -221,12 +217,9 @@ def enumerate_derivations(form: LinearForm, bim: DBimodule) -> DerivationsReport
     )
     if cost > DERIVATION_BUDGET:
         raise DerBudgetExceeded(f"derivation search space {cost} exceeds {DERIVATION_BUDGET}")
-    rmul, mact = np.reshape(R.mul, (nr, nr)), np.reshape(M.act, (nr, nm))
-    badd, kadd = np.reshape(B.add, (nb, nb)), np.reshape(K.add, (nk, nk))
-    bneg, kneg = np.asarray(B.neg), np.asarray(K.additive_group().neg)
-    kact, dot = np.reshape(K.act, (nr, nk)), np.reshape(bim.dot, (nb, nm))
-    lact, ract = np.reshape(bim.bleft, (nr, nb)), np.reshape(bim.bright, (nb, nr))
-    delta, dform = np.asarray(bim.delta), np.asarray(form.d)
+    rmul, mact, badd, kadd, kact = R.multiplication, M.action, B.addition, K.addition, K.action
+    bneg, kneg = B.neg, K.additive_group().neg
+    lact, ract, delta, dot, dform = bim.bleft, bim.bright, bim.delta, bim.dot, form.d
     r, m = np.arange(nr), np.arange(nm)
     d = np.reshape(additive_maps(R.additive_group(), B), (-1, nr))
     leibniz = d[:, rmul] == badd[ract[d[:, :, None], r], lact[r[:, None], d[:, None]]]
@@ -270,20 +263,16 @@ def enumerate_derivations(form: LinearForm, bim: DBimodule) -> DerivationsReport
 
 def _op_images(ext: FormExtension, op: AffinityOp) -> AffinityOp:
     return AffinityOp(
-        ext.module_map[op.m_part],
-        tuple(ext.ring_map[r] for r in op.r_parts),
+        int(ext.module_map[op.m_part]),
+        tuple(int(ext.ring_map[r]) for r in op.r_parts),
     )
 
 
 def _sections(ext: FormExtension, base_op: AffinityOp) -> AffinityOp:
     """Deterministic preimage: least lift of every coordinate."""
-    q, p = ext.module_map, ext.ring_map
-    m = min(x for x in range(ext.total.module.size) if q[x] == base_op.m_part)
-    rs = tuple(
-        min(s for s in range(ext.total.ring.size) if p[s] == r)
-        for r in base_op.r_parts
-    )
-    return AffinityOp(m, rs)
+    least = lambda surjection, v: int(np.argmax(surjection == v))
+    return AffinityOp(least(ext.module_map, base_op.m_part),
+                      tuple(least(ext.ring_map, r) for r in base_op.r_parts))
 
 
 def _op_sub(total: LinearForm, u: AffinityOp, v: AffinityOp) -> AffinityOp:
@@ -297,8 +286,8 @@ def _op_sub(total: LinearForm, u: AffinityOp, v: AffinityOp) -> AffinityOp:
 def _op_add(total: LinearForm, u: AffinityOp, v: AffinityOp) -> AffinityOp:
     N, S = total.module, total.ring
     return AffinityOp(
-        N.plus(u.m_part, v.m_part),
-        tuple(S.plus(a, b) for a, b in zip(u.r_parts, v.r_parts)),
+        int(N.addition[u.m_part, v.m_part]),
+        tuple(int(S.addition[a, b]) for a, b in zip(u.r_parts, v.r_parts)),
     )
 
 
@@ -341,8 +330,7 @@ def lift_maltsev(
     if not is_maltsev_op(total, lifted):
         raise InternalError("lift is not Maltsev symbolically")
     fa = FreeAffinity(total, 2)
-    table = fa.op_table(lifted)
-    tern = TernaryTable.full_from_flat(fa.size, table)
+    tern = TernaryTable.full_from_flat(fa.size, fa.op_table(lifted))
     if not check_maltsev(tern):
         raise InternalError("lift fails the Maltsev check on the free affinity")
     return lifted
@@ -358,28 +346,25 @@ def trivial_form_extension(bim: DBimodule, name: str = "") -> FormExtension:
     R, M = form.ring, form.module
     B, K = bim.bgroup, bim.kmodule
     nr, nm, nb, nk = R.size, M.size, B.size, K.size
-    radd, rmul = np.reshape(R.add, (nr, nr)), np.reshape(R.mul, (nr, nr))
-    madd, mact = np.reshape(M.add, (nm, nm)), np.reshape(M.act, (nr, nm))
-    badd, kadd = np.reshape(B.add, (nb, nb)), np.reshape(K.add, (nk, nk))
-    kact, dot = np.reshape(K.act, (nr, nk)), np.reshape(bim.dot, (nb, nm))
-    lact, ract = np.reshape(bim.bleft, (nr, nb)), np.reshape(bim.bright, (nb, nr))
+    radd, rmul, madd, mact = R.addition, R.multiplication, M.addition, M.action
+    badd, kadd, kact = B.addition, K.addition, K.action
+    lact, ract, dot = bim.bleft, bim.bright, bim.dot
     s_sizes, n_sizes = (nb, nr), (nk, nm)
     b, r = mixed_unindex(s_sizes, np.arange(nb * nr))
     k, m = mixed_unindex(n_sizes, np.arange(nk * nm))
     b1, r1, b2, r2 = b[:, None], r[:, None], b[None], r[None]
     S = FiniteRing(
         nb * nr,
-        _flat(mixed_index(s_sizes, (badd[b1, b2], radd[r1, r2]))),
-        _flat(mixed_index(s_sizes, (badd[ract[b1, r2], lact[r1, b2]], rmul[r1, r2]))),
+        mixed_index(s_sizes, (badd[b1, b2], radd[r1, r2])),
+        mixed_index(s_sizes, (badd[ract[b1, r2], lact[r1, b2]], rmul[r1, r2])),
         mixed_index(s_sizes, (B.zero, R.zero)),
         mixed_index(s_sizes, (B.zero, R.one)),
     )
     k2, m2 = k[None], m[None]
     N = LeftModule(
         S, nk * nm,
-        _flat(mixed_index(n_sizes, (kadd[k[:, None], k2], madd[m[:, None], m2]))),
-        _flat(mixed_index(n_sizes, (kadd[dot[b1, m2], kact[r1, k2]], mact[r1, m2]))),
+        mixed_index(n_sizes, (kadd[k[:, None], k2], madd[m[:, None], m2])),
+        mixed_index(n_sizes, (kadd[dot[b1, m2], kact[r1, k2]], mact[r1, m2])),
     )
-    dprime = _flat(mixed_index(s_sizes, (np.asarray(bim.delta)[k], np.asarray(form.d)[m])))
-    total = LinearForm(N, dprime)
-    return FormExtension(total, form, _flat(r), _flat(m), name=name or "split")
+    total = LinearForm(N, mixed_index(s_sizes, (bim.delta[k], form.d[m])))
+    return FormExtension(total, form, r, m, name=name or "split")

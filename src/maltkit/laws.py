@@ -99,11 +99,24 @@ def require(sizes, laws):
         raise InvariantViolation(law, witness[0] if len(witness) == 1 else witness)
 
 
-def require_range(law, values, size):
-    """Raise InvariantViolation(law, v) at the first entry v outside range(size).
+def as_table(values, shape, size, law, length, where=()):
+    """values, of any shape in row-major order, as the read-only int64 array
+    of the given shape in which a structure holds a table.
 
-    Runs before any law reads the table, so that a bad entry is reported as
-    such rather than used as an index."""
-    for v in values:
-        if not 0 <= v < size:
-            raise InvariantViolation(law, v)
+    Raises InvariantViolation(*length), or (length, number of entries), if
+    the entries do not fill the shape, then InvariantViolation(law, v), or
+    (law, where + (v,)), at the first entry v outside range(size), a Python
+    int even when no int64 holds it.  Laws read the table only after this."""
+    try:
+        out = np.array(values, dtype=np.int64)
+    except OverflowError:
+        out = np.array(values, dtype=object)
+    if out.size != math.prod(shape):
+        raise InvariantViolation(*(length if isinstance(length, tuple) else (length, out.size)))
+    bad = (out < 0) | (out >= size)
+    if bad.any():
+        v = int(out.flat[np.argmax(bad)])
+        raise InvariantViolation(law, where + (v,) if where else v)
+    out = out.astype(np.int64, copy=False).reshape(shape)
+    out.setflags(write=False)
+    return out

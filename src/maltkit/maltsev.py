@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DEFAULT_CLONE_BUDGET, FiniteAlgebra, TermOp, _projections, _term_blocks
+from .algebra import (
+    DEFAULT_CLONE_BUDGET, FiniteAlgebra, TermOp, _projections, _term_blocks, same_tables,
+)
 from .congruence import Congruence, _merge, congruence_violation
 from .errors import (
     DomainError,
@@ -23,7 +25,7 @@ from .errors import (
     InvariantViolation,
     NotAHerd,
 )
-from .laws import first_violation, require_range
+from .laws import as_table, first_violation
 
 FULL = "full"
 FIBERED = "fibered"
@@ -53,10 +55,10 @@ class TernaryTable:
             raise InvariantViolation(
                 "tern-entries-length", (len(self.entries), len(dom))
             )
-        require_range("tern-entry-range", self.entries, self.size)
+        entries = as_table(self.entries, (len(dom),), self.size, "tern-entry-range", None)
         n = max(self.size, 0)
         table = np.full(n**3, -1)
-        table[[(x * n + y) * n + z for x, y, z in dom]] = self.entries
+        table[[(x * n + y) * n + z for x, y, z in dom]] = entries
         object.__setattr__(self, "_table", table.reshape(n, n, n))
 
     def domain(self):
@@ -96,8 +98,9 @@ class TernaryTable:
         return cls(size, FULL, None, entries, name)
 
     @classmethod
-    def full_from_flat(cls, size: int, flat, name: str = "") -> "TernaryTable":
-        return cls(size, FULL, None, tuple(flat), name)
+    def full_from_flat(cls, size: int, values, name: str = "") -> "TernaryTable":
+        """From the values on the full cube, flat or of shape (size,)*3."""
+        return cls(size, FULL, None, tuple(np.ravel(values).tolist()), name)
 
     @classmethod
     def from_entries(cls, size, kind, base, mapping, name: str = "") -> "TernaryTable":
@@ -190,9 +193,9 @@ def _maltsev_rows(rows, n: int):
     return ((rows[:, (x * n + y) * n + y] == x) & (rows[:, (y * n + y) * n + x] == x)).all(axis=1)
 
 
-def is_maltsev_table(table, size: int) -> bool:
-    """Maltsev check on a flat full-domain table without building a TernaryTable."""
-    return bool(_maltsev_rows(np.asarray(table).reshape(1, -1), size)[0])
+def is_maltsev_table(values, size: int) -> bool:
+    """Maltsev check on the values of a ternary operation, shape (size,)*3."""
+    return bool(_maltsev_rows(np.reshape(values, (1, -1)), size)[0])
 
 
 def find_maltsev_term(
@@ -222,30 +225,40 @@ def find_maltsev_term(
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TorsorGroup:
     """Group extracted from an associative Maltsev operation.
 
     carrier: classes of T x T under (x,y) ~ (m(x,y,z), z); `sub` maps a
-    pair to its class, `action` applies a class to a point.
+    pair to its class (-1 off the domain), `action` applies a class to a
+    point.  The tables are read-only arrays: add (size, size), neg (size,),
+    action (size, n) and sub (n, n) for the n points.
     """
 
     size: int
-    add: tuple[tuple[int, ...], ...]
-    neg: tuple[int, ...]
+    add: np.ndarray
+    neg: np.ndarray
     zero: int
-    action: tuple[tuple[int, ...], ...]
-    sub: tuple[tuple[int, ...], ...]
+    action: np.ndarray
+    sub: np.ndarray
     abelian: bool
+
+    __eq__ = same_tables
+
+    def __post_init__(self):
+        for attr in ("add", "neg", "action", "sub"):
+            table = np.array(getattr(self, attr), dtype=np.int64)
+            table.setflags(write=False)
+            object.__setattr__(self, attr, table)
 
     def to_json(self) -> dict:
         return {
             "size": self.size,
             "zero": self.zero,
-            "add": [list(r) for r in self.add],
-            "neg": list(self.neg),
-            "action": [list(r) for r in self.action],
-            "sub": [list(r) for r in self.sub],
+            "add": self.add.tolist(),
+            "neg": self.neg.tolist(),
+            "action": self.action.tolist(),
+            "sub": self.sub.tolist(),
             "abelian": self.abelian,
         }
 
@@ -304,15 +317,7 @@ def _coequaliser_group(m: TernaryTable, base) -> TorsorGroup:
         hit = first_violation(sizes, laws)
         if hit is not None:
             raise InternalError(f"coequaliser: {hit[0]} at {hit[1]}")
-    return TorsorGroup(
-        g,
-        tuple(map(tuple, add.tolist())),
-        tuple(neg.tolist()),
-        zero,
-        tuple(map(tuple, action.tolist())),
-        tuple(map(tuple, sub.tolist())),
-        bool((add == add.T).all()),
-    )
+    return TorsorGroup(g, add, neg, zero, action, sub, bool((add == add.T).all()))
 
 
 def torsor_to_group(m: TernaryTable) -> TorsorGroup:
@@ -340,10 +345,8 @@ def torsor_to_group(m: TernaryTable) -> TorsorGroup:
 
 def reconstruct_table(group: TorsorGroup) -> TernaryTable:
     """The operation (x-y)+z recovered from a torsor group."""
-    n = len(group.sub)
-    return TernaryTable.full_from_fn(
-        n, lambda x, y, z: group.action[group.sub[x][y]][z]
-    )
+    sub = group.sub
+    return TernaryTable.full_from_flat(len(sub), group.action[sub[:, :, None], np.arange(len(sub))])
 
 
 def _abstract_groups(n: int):
@@ -415,7 +418,7 @@ def restriction_violation(alg: FiniteAlgebra, cols, pv, ptab):
     for op in alg.ops:
         if op.arity == 0:
             continue  # m(c, c, c) = c for a Maltsev m
-        f = alg.op_array(op)
+        f = op.values
         at = lambda col, idx: f[tuple(col[i] for i in idx)]
         hit = first_violation((len(pv),) * op.arity, [
             (op.name, lambda *idx: ptab[at(X, idx), at(Y, idx), at(Z, idx)] == at(pv, idx)),

@@ -24,7 +24,8 @@ from .errors import (
     InvariantViolation,
     SearchBudgetExceeded,
 )
-from .laws import first_violation, require, require_range
+from .algebra import same_tables
+from .laws import as_table, first_violation, require
 from .maltsev import (
     FIBERED,
     MIXED,
@@ -38,79 +39,72 @@ from .maltsev import (
 UNTWISTED_FIBER_CAP = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteMonoid:
     size: int
     unit: int
-    mul: tuple[int, ...]
+    multiplication: np.ndarray  # (size, size)
     name: str = field(default="", compare=False)
+
+    __eq__ = same_tables
 
     def __post_init__(self):
         n = self.size
-        if len(self.mul) != n * n:
-            raise InvariantViolation("monoid-table-length", len(self.mul))
-        require_range("monoid-entry", self.mul, n)
+        mul = as_table(self.multiplication, (n, n), n, "monoid-entry", "monoid-table-length")
+        object.__setattr__(self, "multiplication", mul)
         if not 0 <= self.unit < n:
             raise InvariantViolation("monoid-unit-range", self.unit)
-        mul, e = np.reshape(self.mul, (n, n)), self.unit
+        e = self.unit
         require((n, n, n), [
             ("monoid-unit", lambda a: (mul[e, a] == a) & (mul[a, e] == a)),
             ("monoid-associative", lambda a, b, c: mul[mul[a, b], c] == mul[a, mul[b, c]]),
         ])
-
-    def mulv(self, a: int, b: int) -> int:
-        return self.mul[a * self.size + b]
 
     def to_json(self):
         return {
             "name": self.name,
             "size": self.size,
             "unit": self.unit,
-            "mul": list(self.mul),
+            "mul": self.multiplication.ravel().tolist(),
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NaturalSystemOnMonoid:
     """Groups D_x with left maps left[b][x]: D_x -> D_{bx} and right maps
-    right[x][b]: D_x -> D_{xb}."""
+    right[x][b]: D_x -> D_{xb}, each a (|D_x|,) array."""
 
     monoid: FiniteMonoid
     groups: tuple[AbelianGroup, ...]
-    left: tuple[tuple[tuple[int, ...], ...], ...]
-    right: tuple[tuple[tuple[int, ...], ...], ...]
+    left: tuple[tuple[np.ndarray, ...], ...]
+    right: tuple[tuple[np.ndarray, ...], ...]
     name: str = field(default="", compare=False)
+
+    __eq__ = same_tables
 
     def __post_init__(self):
         mon = self.monoid
-        n = mon.size
+        n, mul = mon.size, mon.multiplication
         if len(self.groups) != n or len(self.left) != n or len(self.right) != n:
             raise InvariantViolation("natsys-shape", None)
+        left, right = [[None] * n for _ in range(n)], [[None] * n for _ in range(n)]
         for b in range(n):
             for x in range(n):
-                lmap = self.left[b][x]
-                if len(lmap) != self.groups[x].size:
-                    raise InvariantViolation("natsys-left-length", (b, x))
-                tgt = self.groups[mon.mulv(b, x)]
-                for v in lmap:
-                    if not 0 <= v < tgt.size:
-                        raise InvariantViolation("natsys-left-range", (b, x, v))
-                rmap = self.right[x][b]
-                if len(rmap) != self.groups[x].size:
-                    raise InvariantViolation("natsys-right-length", (x, b))
-                tgt = self.groups[mon.mulv(x, b)]
-                for v in rmap:
-                    if not 0 <= v < tgt.size:
-                        raise InvariantViolation("natsys-right-range", (x, b, v))
+                size = (self.groups[x].size,)
+                left[b][x] = as_table(self.left[b][x], size, self.groups[mul[b, x]].size,
+                                      "natsys-left-range", ("natsys-left-length", (b, x)), (b, x))
+                right[x][b] = as_table(
+                    self.right[x][b], size, self.groups[mul[x, b]].size,
+                    "natsys-right-range", ("natsys-right-length", (x, b)), (x, b))
+        object.__setattr__(self, "left", tuple(map(tuple, left)))
+        object.__setattr__(self, "right", tuple(map(tuple, right)))
         # additivity
-        left = [[np.asarray(m) for m in row] for row in self.left]
-        right = [[np.asarray(m) for m in row] for row in self.right]
-        add = [np.reshape(g.add, (g.size, g.size)) for g in self.groups]
+        add = [g.addition for g in self.groups]
         for b in range(n):
             for x in range(n):
                 for law, amap, y, witness in (
-                    ("natsys-left-additive", left[b][x], mon.mulv(b, x), (b, x)),
-                    ("natsys-right-additive", right[x][b], mon.mulv(x, b), (x, b)),
+                    ("natsys-left-additive", left[b][x], mul[b, x], (b, x)),
+                    ("natsys-right-additive", right[x][b], mul[x, b], (x, b)),
                 ):
                     hit = first_violation((self.groups[x].size,) * 2, [
                         (law, lambda d1, d2: amap[add[x][d1, d2]] == add[y][amap[d1], amap[d2]]),
@@ -120,23 +114,23 @@ class NaturalSystemOnMonoid:
         # unitality and the three compatibility equations
         e = mon.unit
         for x in range(n):
-            if self.left[e][x] != tuple(range(self.groups[x].size)):
+            ident = np.arange(self.groups[x].size)
+            if not np.array_equal(left[e][x], ident):
                 raise InvariantViolation("natsys-left-unital", x)
-            if self.right[x][e] != tuple(range(self.groups[x].size)):
+            if not np.array_equal(right[x][e], ident):
                 raise InvariantViolation("natsys-right-unital", x)
-        mul = mon.mulv
         for b1, b2, x in itertools.product(range(n), repeat=3):
             hit = first_violation((self.groups[x].size,), [
                 # (b1 b2) d = b1 (b2 d)
                 ("natsys-left-compose",
-                 lambda d: left[mul(b1, b2)][x][d] == left[b1][mul(b2, x)][left[b2][x][d]]),
+                 lambda d: left[mul[b1, b2]][x][d] == left[b1][mul[b2, x]][left[b2][x][d]]),
                 # (d b1) b2 = d (b1 b2)
                 ("natsys-right-compose",
-                 lambda d: right[mul(x, b1)][b2][right[x][b1][d]] == right[x][mul(b1, b2)][d]),
+                 lambda d: right[mul[x, b1]][b2][right[x][b1][d]] == right[x][mul[b1, b2]][d]),
                 # (b1 d) b2 = b1 (d b2)
                 ("natsys-mixed-compose",
-                 lambda d: right[mul(b1, x)][b2][left[b1][x][d]]
-                 == left[b1][mul(x, b2)][right[x][b2][d]]),
+                 lambda d: right[mul[b1, x]][b2][left[b1][x][d]]
+                 == left[b1][mul[x, b2]][right[x][b2][d]]),
             ])
             if hit is not None:
                 law, (d,) = hit
@@ -150,9 +144,9 @@ class NaturalSystemOnMonoid:
         return {
             "name": self.name,
             "monoid": self.monoid.to_json(),
-            "groups": [{"size": g.size, "add": list(g.add)} for g in self.groups],
-            "left": [[list(m) for m in row] for row in self.left],
-            "right": [[list(m) for m in row] for row in self.right],
+            "groups": [{"size": g.size, "add": g.addition.ravel().tolist()} for g in self.groups],
+            "left": [[m.tolist() for m in row] for row in self.left],
+            "right": [[m.tolist() for m in row] for row in self.right],
         }
 
 
@@ -170,11 +164,12 @@ def constant_system(mon: FiniteMonoid, group: AbelianGroup, name: str = "") -> N
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonoidExtension:
     """Surjective monoid map with fibrewise actions of the natural system.
 
-    actions[b] is a flat |D_b| x |fibre(b)| table of total elements.
+    proj is a (|total|,) array and actions[b] a (|D_b|, |fibre(b)|) array of
+    total elements.
     Construction validates shapes, that proj is a unital homomorphism and
     the action axioms; freeness/transitivity and the subtraction
     identities are the business of check_linear_extension.
@@ -182,10 +177,12 @@ class MonoidExtension:
 
     total: FiniteMonoid
     base: FiniteMonoid
-    proj: tuple[int, ...]
+    proj: np.ndarray
     system: NaturalSystemOnMonoid
-    actions: tuple[tuple[int, ...], ...]
+    actions: tuple[np.ndarray, ...]
     name: str = field(default="", compare=False)
+
+    __eq__ = same_tables
 
     def __post_init__(self):
         if self.system.monoid != self.base:
@@ -197,21 +194,23 @@ class MonoidExtension:
         if self.proj[self.total.unit] != self.base.unit:
             raise InvariantViolation("extension-proj-unit", None)
         N, B = self.total.size, self.base.size
-        proj = np.asarray(self.proj)
-        tmul, bmul = np.reshape(self.total.mul, (N, N)), np.reshape(self.base.mul, (B, B))
+        # the checks above leave no entry out of range for as_table to report
+        proj = as_table(self.proj, (N,), B, None, None)
+        object.__setattr__(self, "proj", proj)
+        tmul, bmul = self.total.multiplication, self.base.multiplication
         require((N, N), [
             ("extension-proj-hom", lambda a, b: proj[tmul[a, b]] == bmul[proj[a], proj[b]]),
         ])
         # the fibres, and the position of each element in its fibre, for act
         fibres = tuple(np.flatnonzero(proj == b) for b in range(B))
         pos = np.zeros(N, dtype=np.int64)
+        actions = []
         for b, fib in enumerate(fibres):
             g = self.system.groups[b]
-            if len(self.actions[b]) != g.size * fib.size:
-                raise InvariantViolation("extension-action-length", b)
-            require_range("extension-action-entry", self.actions[b], N)
-            table = np.reshape(self.actions[b], (g.size, fib.size))
-            gadd = np.reshape(g.add, (g.size, g.size))
+            table = as_table(self.actions[b], (g.size, fib.size), N, "extension-action-entry",
+                             ("extension-action-length", b))
+            actions.append(table)
+            gadd = g.addition
             pos[fib] = np.arange(fib.size)
             hit = first_violation((g.size, fib.size), [
                 ("extension-action-fiber", lambda d, i: proj[table[d, i]] == b),
@@ -227,25 +226,26 @@ class MonoidExtension:
             if hit is not None:
                 law, (i, *ds) = hit
                 raise InvariantViolation(law, (b, *ds, int(fib[i])))
+        object.__setattr__(self, "actions", tuple(actions))
         object.__setattr__(self, "_pos", pos.tolist())
-        object.__setattr__(self, "_fibres", tuple(tuple(f.tolist()) for f in fibres))
+        object.__setattr__(self, "_fibres", fibres)
 
-    def fiber(self, b: int) -> tuple[int, ...]:
+    def fiber(self, b: int) -> np.ndarray:
+        """The elements over b, ascending."""
         return self._fibres[b]
 
     def act(self, b: int, d: int, e: int) -> int:
         if self.proj[e] != b:
             raise ValueError(f"{e} is not in the fibre over {b}")
-        fibre_size = len(self.actions[b]) // self.system.groups[b].size
-        return self.actions[b][d * fibre_size + self._pos[e]]
+        return int(self.actions[b][d, self._pos[e]])
 
     def to_json(self):
         return {
             "name": self.name,
             "total": self.total.to_json(),
             "base": self.base.to_json(),
-            "proj": list(self.proj),
-            "actions": [list(t) for t in self.actions],
+            "proj": self.proj.tolist(),
+            "actions": [t.ravel().tolist() for t in self.actions],
         }
 
 
@@ -262,19 +262,18 @@ def trivial_extension(mon: FiniteMonoid, system: NaturalSystemOnMonoid,
     d = np.arange(proj.size) - offset[proj]
     left = _padded([m for row in system.left for m in row]).reshape(n, n, -1)
     right = _padded([m for row in system.right for m in row]).reshape(n, n, -1)
-    add = _padded([g.add for g in groups])
+    add = _padded([g.addition.ravel() for g in groups])
     x1, d1, x2, d2 = proj[:, None], d[:, None], proj[None], d[None]
-    x = np.reshape(mon.mul, (n, n))[x1, x2]
+    x = mon.multiplication[x1, x2]
     # d1 x2 + x1 d2, read from the flat addition table of D_x
     mul = offset[x] + add[x, right[x1, x2, d1] * sizes[x] + left[x1, x2, d2]]
     total = FiniteMonoid(
         proj.size,
         int(offset[mon.unit]) + groups[mon.unit].zero,
-        tuple(mul.ravel().tolist()),
+        mul,
         name=name or f"{mon.name}:semidirect",
     )
-    actions = tuple(tuple((offset[b] + np.asarray(g.add)).tolist()) for b, g in enumerate(groups))
-    proj = tuple(proj.tolist())
+    actions = tuple(offset[b] + g.addition for b, g in enumerate(groups))
     ext = MonoidExtension(total, mon, proj, system, actions, name=name)
     rep = check_linear_extension(ext)
     if not rep.ok:
@@ -315,8 +314,7 @@ def _subtraction_tables(ext: MonoidExtension):
         g = ext.system.groups[b]
         if g.size != len(fib):
             return None, (b, "fibre size differs from group order")
-        table = np.reshape(ext.actions[b], (g.size, len(fib)))
-        sub[table, fib] = np.arange(g.size)[:, None]
+        sub[ext.actions[b], fib] = np.arange(g.size)[:, None]
         if (sub[np.ix_(fib, fib)] < 0).any():
             return None, (b, "action is not free")
     return sub, None
@@ -329,8 +327,7 @@ def check_linear_extension(ext: MonoidExtension) -> LinearExtReport:
     if sub is None:
         return LinearExtReport(False, bad[1], (bad[0],))
     N, B, sys_ = ext.total.size, ext.base.size, ext.system
-    P, F = np.asarray(ext.proj), _padded(ext._fibres)
-    tmul = np.reshape(ext.total.mul, (N, N))
+    P, F, tmul = ext.proj, _padded(ext._fibres), ext.total.multiplication
     left = _padded([m for row in sys_.left for m in row]).reshape(B, B, -1)
     right = _padded([m for row in sys_.right for m in row]).reshape(B, B, -1)
     outside = lambda b, i, j: (F[b, i] < 0) | (F[b, j] < 0)
@@ -381,7 +378,8 @@ def check_untwisted(ext: MonoidExtension) -> UntwistedReport:
     pre = check_linear_extension(ext)
     if not pre.ok:
         raise InvariantViolation("untwisted-requires-linear-extension", pre.reason)
-    base, total, proj, sys_ = ext.base, ext.total, ext.proj, ext.system
+    base, total, sys_ = ext.base, ext.total, ext.system
+    proj = ext.proj.tolist()  # a list for the scalar loops
     for g in sys_.groups:
         if g.size > UNTWISTED_FIBER_CAP:
             raise SearchBudgetExceeded(
@@ -407,12 +405,11 @@ def check_untwisted(ext: MonoidExtension) -> UntwistedReport:
         return {
             (f1, f2, f): ext.act(proj[f], psi[proj[f]][inverse[proj[f1]][sub[f1, f2]]], f)
             for f1 in range(total.size)
-            for f2 in ext.fiber(proj[f1])
+            for f2 in ext.fiber(proj[f1]).tolist()
             for f in range(total.size)
         }
 
-    P = np.asarray(proj)
-    tmul = np.reshape(total.mul, (total.size, total.size))
+    P, tmul = ext.proj, total.multiplication
 
     def verify(fam):
         m = TernaryTable.from_entries(total.size, MIXED, proj, fam)
@@ -558,8 +555,9 @@ def counterexample_harness() -> CounterexampleReport:
         expected[(a, "11")] = "11"
     products = []
     name_to_idx = {tname(e): e for e in range(5)}
+    mul = total.multiplication.tolist()  # a list for the scalar loops
     for (a, b), want in sorted(expected.items()):
-        got = tname(total.mulv(name_to_idx[a], name_to_idx[b]))
+        got = tname(mul[name_to_idx[a]][name_to_idx[b]])
         if got != want:
             raise CounterexampleBroken(f"product {a}.{b} = {got}, expected {want}")
         products.append(((a, b), got))
@@ -572,11 +570,11 @@ def counterexample_harness() -> CounterexampleReport:
     act = {}
     for g in range(5):
         for s in range(4):
-            v1 = cls[total.mulv(g, rep[s])]
+            v1 = cls[mul[g][rep[s]]]
             # well-definedness across the identified pair
             alts = [e for e in range(5) if cls[e] == s]
             for e in alts:
-                if cls[total.mulv(g, e)] != v1:
+                if cls[mul[g][e]] != v1:
                     raise CounterexampleBroken("action not well defined on classes")
             act[(g, s)] = v1
     for (gname, sname, want) in (("10", "*0", "*0"), ("10", "01", "11"), ("10", "11", "11")):

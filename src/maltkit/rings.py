@@ -3,43 +3,56 @@
 A linear form d: M -> R (an R-module map into the ring with its left
 regular action) is the classifying datum of an abelian Maltsev theory
 without constants; a form-bimodule (B, K, delta, dot) is the coefficient
-datum of its abelian extensions.  Every constructor range-checks its
-tables and then verifies all its laws exhaustively with the kernel of
-`laws`, which reports the lexicographically first violating tuple.  The
-tables built here are index-array expressions over the given ones.
+datum of its abelian extensions.
+
+In memory every table is a read-only int64 array shaped by its
+quantifiers, built and range-checked once by the constructor, which
+accepts any integer sequence in flat row-major order: ring addition and
+multiplication (|R|, |R|), module addition (|M|, |M|) and action (|R|, |M|)
+indexed (r, x), the form d (|M|,), and a bimodule's left action (|R|, |B|),
+right action (|B|, |R|), delta (|K|,) and dot (|B|, |M|).  Readers index
+them directly: R.multiplication[a, b], M.action[r, x].  The flat order is
+the exchange contract only (files, JSON and the flat views `add`, `mul`
+and `act` of rings and modules).  Every constructor then verifies all its
+laws exhaustively with the kernel of `laws`, which reports the
+lexicographically first violating tuple.  The tables built here are
+index-array expressions over the given ones.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .abgroup import AbelianGroup, extend_additive, group_from_presentation
-from .algebra import mixed_index, mixed_unindex
+from .algebra import mixed_index, mixed_unindex, same_tables
 from .errors import InvariantViolation
-from .laws import first_violation, require, require_range
+from .laws import as_table, first_violation, require
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteRing:
     size: int
-    add: tuple[int, ...]
-    mul: tuple[int, ...]
+    addition: np.ndarray  # (size, size)
+    multiplication: np.ndarray  # (size, size)
     zero: int
     one: int
     name: str = field(default="", compare=False)
 
+    __eq__ = same_tables
+
     def __post_init__(self):
         n = self.size
-        grp = AbelianGroup(n, self.add)  # validates the additive group
+        grp = AbelianGroup(n, self.addition)  # validates the additive group
         if grp.zero != self.zero:
             raise InvariantViolation("ring-zero", self.zero)
         object.__setattr__(self, "_grp", grp)
-        if len(self.mul) != n * n:
-            raise InvariantViolation("ring-mul-length", len(self.mul))
-        require_range("ring-mul-entry", self.mul, n)
-        add, mul, one = np.reshape(self.add, (n, n)), np.reshape(self.mul, (n, n)), self.one
+        add, one = grp.addition, self.one
+        mul = as_table(self.multiplication, (n, n), n, "ring-mul-entry", "ring-mul-length")
+        object.__setattr__(self, "addition", add)
+        object.__setattr__(self, "multiplication", mul)
         require((n, n, n), [
             ("ring-unit", lambda a: (mul[one, a] == a) & (mul[a, one] == a)),
             ("ring-mul-associative", lambda a, b, c: mul[mul[a, b], c] == mul[a, mul[b, c]]),
@@ -51,28 +64,21 @@ class FiniteRing:
 
     @classmethod
     def from_tables(cls, add, mul, name: str = "") -> "FiniteRing":
-        n = int(len(add) ** 0.5)
-        grp = AbelianGroup(n, tuple(add))
-        one = None
-        for e in range(n):
-            if all(mul[e * n + a] == a and mul[a * n + e] == a for a in range(n)):
-                one = e
-                break
-        if one is None:
+        n = math.isqrt(np.size(add))
+        grp = AbelianGroup(n, add)
+        if np.size(mul) != n * n:
+            raise InvariantViolation("ring-mul-length", np.size(mul))
+        m, a = np.reshape(mul, (n, n)), np.arange(n)
+        units = np.flatnonzero(((m == a) & (m.T == a)).all(axis=1))
+        if not units.size:
             raise InvariantViolation("ring-unit-exists", None)
-        return cls(n, tuple(add), tuple(mul), grp.zero, one, name)
+        return cls(n, grp.addition, mul, grp.zero, int(units[0]), name)
 
-    def plus(self, a, b):
-        return self.add[a * self.size + b]
+    add = property(lambda self: self.addition.ravel(), doc="flat exchange view")
+    mul = property(lambda self: self.multiplication.ravel(), doc="flat exchange view")
 
     def minus(self, a, b):
         return self._grp.minus(a, b)
-
-    def neg(self, a):
-        return self._grp.neg[a]
-
-    def mulv(self, a, b):
-        return self.mul[a * self.size + b]
 
     def additive_group(self) -> AbelianGroup:
         return self._grp
@@ -81,8 +87,8 @@ class FiniteRing:
         return {
             "name": self.name,
             "size": self.size,
-            "add": list(self.add),
-            "mul": list(self.mul),
+            "add": self.add.tolist(),
+            "mul": self.mul.tolist(),
             "zero": self.zero,
             "one": self.one,
         }
@@ -100,27 +106,28 @@ def dual_numbers_f2(name: str = "F2eps") -> FiniteRing:
     a1, b1, a2, b2 = a[:, None], b[:, None], a[None], b[None]
     add = mixed_index((2, 2), (a1 ^ a2, b1 ^ b2))
     mul = mixed_index((2, 2), (a1 & a2, (a1 & b2) ^ (b1 & a2)))
-    return FiniteRing.from_tables(tuple(add.ravel().tolist()), tuple(mul.ravel().tolist()), name)
+    return FiniteRing.from_tables(add, mul, name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeftModule:
     ring: FiniteRing
     size: int
-    add: tuple[int, ...]
-    act: tuple[int, ...]  # flat ring.size x size table
+    addition: np.ndarray  # (size, size)
+    action: np.ndarray  # (ring.size, size)
     name: str = field(default="", compare=False)
+
+    __eq__ = same_tables
 
     def __post_init__(self):
         n = self.size
-        grp = AbelianGroup(n, self.add)
+        grp = AbelianGroup(n, self.addition)
         object.__setattr__(self, "_grp", grp)
         R = self.ring
-        if len(self.act) != R.size * n:
-            raise InvariantViolation("module-act-length", len(self.act))
-        require_range("module-act-entry", self.act, n)
-        add, act = np.reshape(self.add, (n, n)), np.reshape(self.act, (R.size, n))
-        radd, rmul = np.reshape(R.add, (R.size, R.size)), np.reshape(R.mul, (R.size, R.size))
+        act = as_table(self.action, (R.size, n), n, "module-act-entry", "module-act-length")
+        add, radd, rmul = grp.addition, R.addition, R.multiplication
+        object.__setattr__(self, "addition", add)
+        object.__setattr__(self, "action", act)
         require((R.size, n, n), [
             ("module-distributive-right",
              lambda r, x, y: act[r, add[x, y]] == add[act[r, x], act[r, y]]),
@@ -132,21 +139,15 @@ class LeftModule:
         ])
         require((n,), [("module-unit", lambda x: act[R.one, x] == x)])
 
-    def plus(self, a, b):
-        return self.add[a * self.size + b]
+    add = property(lambda self: self.addition.ravel(), doc="flat exchange view")
+    act = property(lambda self: self.action.ravel(), doc="flat exchange view")
 
     def minus(self, a, b):
         return self._grp.minus(a, b)
 
-    def neg(self, a):
-        return self._grp.neg[a]
-
     @property
     def zero(self):
         return self._grp.zero
-
-    def smul(self, r, x):
-        return self.act[r * self.size + x]
 
     def additive_group(self) -> AbelianGroup:
         return self._grp
@@ -155,13 +156,14 @@ class LeftModule:
         return {
             "name": self.name,
             "size": self.size,
-            "add": list(self.add),
-            "act": list(self.act),
+            "add": self.add.tolist(),
+            "act": self.act.tolist(),
         }
 
 
 def module_over_self(ring: FiniteRing, name: str = "") -> LeftModule:
-    return LeftModule(ring, ring.size, ring.add, ring.mul, name or f"{ring.name}-reg")
+    return LeftModule(ring, ring.size, ring.addition, ring.multiplication,
+                      name or f"{ring.name}-reg")
 
 
 def zero_module(ring: FiniteRing, name: str = "0") -> LeftModule:
@@ -175,36 +177,33 @@ def submodule(module: LeftModule, elements, name: str = "") -> tuple[LeftModule,
     elems = sorted(set(elements))
     if module.zero not in elems:
         raise InvariantViolation("submodule-zero", elems)
-    n, nr = module.size, module.ring.size
-    slot = np.full(n, -1)
+    slot = np.full(module.size, -1)
     slot[elems] = np.arange(len(elems))
-    add = slot[np.reshape(module.add, (n, n))[np.ix_(elems, elems)]]
-    act = slot[np.reshape(module.act, (nr, n))[:, elems]]
+    add = slot[module.addition[np.ix_(elems, elems)]]
+    act = slot[module.action[:, elems]]
     for law, table, rows in (("submodule-closed-add", add, elems),
-                             ("submodule-closed-act", act, range(nr))):
+                             ("submodule-closed-act", act, range(module.ring.size))):
         bad = np.argwhere(table < 0)
         if bad.size:
             raise InvariantViolation(law, (rows[bad[0, 0]], elems[bad[0, 1]]))
-    return LeftModule(module.ring, len(elems), tuple(add.ravel().tolist()),
-                      tuple(act.ravel().tolist()), name), tuple(elems)
+    return LeftModule(module.ring, len(elems), add, act, name), tuple(elems)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearForm:
     """A left-module map d: M -> R, with R acting on itself from the left."""
 
     module: LeftModule
-    d: tuple[int, ...]
+    d: np.ndarray  # (module.size,)
     name: str = field(default="", compare=False)
+
+    __eq__ = same_tables
 
     def __post_init__(self):
         M, R = self.module, self.module.ring
-        if len(self.d) != M.size:
-            raise InvariantViolation("form-length", len(self.d))
-        require_range("form-entry", self.d, R.size)
-        d = np.asarray(self.d)
-        madd, act = np.reshape(M.add, (M.size, M.size)), np.reshape(M.act, (R.size, M.size))
-        radd, rmul = np.reshape(R.add, (R.size, R.size)), np.reshape(R.mul, (R.size, R.size))
+        d = as_table(self.d, (M.size,), R.size, "form-entry", "form-length")
+        object.__setattr__(self, "d", d)
+        madd, act, radd, rmul = M.addition, M.action, R.addition, R.multiplication
         require((M.size, M.size), [
             ("form-additive", lambda x, y: d[madd[x, y]] == radd[d[x], d[y]]),
         ])
@@ -219,25 +218,26 @@ class LinearForm:
             "name": self.name,
             "ring": self.ring.to_json(),
             "module": self.module.to_json(),
-            "d": list(self.d),
+            "d": self.d.tolist(),
         }
 
 
 def tensor_over_ring(
     ring: FiniteRing,
     bgroup: AbelianGroup,
-    bright: tuple[int, ...],
+    bright: np.ndarray,
     module: LeftModule,
 ):
-    """B (x)_R M for a right action `bright` of the ring on B.
+    """B (x)_R M for a right action `bright` of the ring on B, a (|B|, |R|)
+    table, shaped or flat.
 
     Presented by one generator per pair (b, m) with biadditivity and
     balance relations, collapsed by Smith normal form.  Returns the tensor
-    group and the pairing table (b, m) -> element.
+    group and the pairing, a (|B|, |M|) array (b, m) -> element.
     """
     nb, nm, nr = bgroup.size, module.size, ring.size
-    badd, madd = np.reshape(bgroup.add, (nb, nb)), np.reshape(module.add, (nm, nm))
-    mact, ract = np.reshape(module.act, (nr, nm)), np.reshape(bright, (nb, nr))
+    badd, madd, mact = bgroup.addition, module.addition, module.action
+    bright = np.reshape(bright, (nb, nr))
     b1, b2, m = np.indices((nb, nb, nm)).reshape(3, -1)
     b, m1, m2 = np.indices((nb, nm, nm)).reshape(3, -1)
     bb, r, mm = np.indices((nb, nr, nm)).reshape(3, -1)
@@ -246,7 +246,7 @@ def tensor_over_ring(
     blocks = []
     for pos, *negs in (((badd[b1, b2], m), (b1, m), (b2, m)),
                        ((b, madd[m1, m2]), (b, m1), (b, m2)),
-                       ((ract[bb, r], mm), (bb, mact[r, mm]))):
+                       ((bright[bb, r], mm), (bb, mact[r, mm]))):
         cols = np.stack([mixed_index((nb, nm), g) for g in (pos, *negs)], axis=1)
         rows = np.zeros((len(cols), nb * nm), dtype=np.int64)
         np.add.at(rows, (np.arange(len(cols))[:, None], cols), [1] + [-1] * len(negs))
@@ -254,19 +254,19 @@ def tensor_over_ring(
     # bound generator orders so the quotient is manifestly finite
     blocks.append(_exponent(bgroup) * np.eye(nb * nm, dtype=np.int64))
     tensor, coords = group_from_presentation(nb * nm, np.vstack(blocks).tolist())
-    return tensor, tuple(coords)
+    return tensor, np.reshape(coords, (nb, nm))
 
 
 def _exponent(g: AbelianGroup) -> int:
     """The least k >= 1 with k a = 0 for every a: the lcm of the orders."""
-    add, a = np.reshape(g.add, (g.size, g.size)), np.arange(g.size)
+    a = np.arange(g.size)
     k, v = 1, a
     while (v != g.zero).any():
-        k, v = k + 1, add[v, a]
+        k, v = k + 1, g.addition[v, a]
     return k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DBimodule:
     """Coefficient datum over a linear form: an R-R-bimodule B, a left
     module K, an R-linear delta: K -> B and a pairing dot: B x M -> K with
@@ -274,35 +274,33 @@ class DBimodule:
 
     form: LinearForm
     bgroup: AbelianGroup
-    bleft: tuple[int, ...]  # R.size x B.size
-    bright: tuple[int, ...]  # B.size x R.size
+    bleft: np.ndarray  # (R.size, B.size)
+    bright: np.ndarray  # (B.size, R.size)
     kmodule: LeftModule
-    delta: tuple[int, ...]  # K.size -> B
-    dot: tuple[int, ...]  # B.size x M.size -> K
+    delta: np.ndarray  # (K.size,) -> B
+    dot: np.ndarray  # (B.size, M.size) -> K
     name: str = field(default="", compare=False)
+
+    __eq__ = same_tables
 
     def __post_init__(self):
         R = self.form.ring
         M = self.form.module
         B, K = self.bgroup, self.kmodule
-        if K.ring is not R and K.ring != R:
+        if K.ring != R:
             raise InvariantViolation("bimodule-kmodule-ring", None)
-        if len(self.bleft) != R.size * B.size or len(self.bright) != B.size * R.size:
+        if np.size(self.bleft) != R.size * B.size or np.size(self.bright) != B.size * R.size:
             raise InvariantViolation("bimodule-action-length", None)
-        if len(self.delta) != K.size or len(self.dot) != B.size * M.size:
+        if np.size(self.delta) != K.size or np.size(self.dot) != B.size * M.size:
             raise InvariantViolation("bimodule-map-length", None)
-        require_range("bimodule-left-entry", self.bleft, B.size)
-        require_range("bimodule-right-entry", self.bright, B.size)
-        require_range("delta-entry", self.delta, B.size)
-        require_range("dot-entry", self.dot, K.size)
-        radd, rmul = np.reshape(R.add, (R.size, R.size)), np.reshape(R.mul, (R.size, R.size))
-        madd, mact = np.reshape(M.add, (M.size, M.size)), np.reshape(M.act, (R.size, M.size))
-        badd = np.reshape(B.add, (B.size, B.size))
-        kadd, kact = np.reshape(K.add, (K.size, K.size)), np.reshape(K.act, (R.size, K.size))
-        lact = np.reshape(self.bleft, (R.size, B.size))
-        ract = np.reshape(self.bright, (B.size, R.size))
-        delta, d = np.asarray(self.delta), np.asarray(self.form.d)
-        dot = np.reshape(self.dot, (B.size, M.size))
+        for attr, shape, size, law in (("bleft", (R.size, B.size), B.size, "bimodule-left-entry"),
+                                       ("bright", (B.size, R.size), B.size, "bimodule-right-entry"),
+                                       ("delta", (K.size,), B.size, "delta-entry"),
+                                       ("dot", (B.size, M.size), K.size, "dot-entry")):
+            object.__setattr__(self, attr, as_table(getattr(self, attr), shape, size, law, None))
+        radd, rmul, madd, mact = R.addition, R.multiplication, M.addition, M.action
+        badd, kadd, kact = B.addition, K.addition, K.action
+        lact, ract, delta, dot, d = self.bleft, self.bright, self.delta, self.dot, self.form.d
         require((R.size, B.size, B.size), [
             ("bimodule-left-additive",
              lambda r, b1, b2: lact[r, badd[b1, b2]] == badd[lact[r, b1], lact[r, b2]]),
@@ -347,21 +345,18 @@ class DBimodule:
             ("delta-dot-compatible", lambda b, m: delta[dot[b, m]] == ract[b, d[m]]),
         ])
 
-    def dotv(self, b, m):
-        return self.dot[b * self.form.module.size + m]
-
     def to_json(self):
         return {
             "name": self.name,
             "b_size": self.bgroup.size,
-            "b_add": list(self.bgroup.add),
-            "b_left": list(self.bleft),
-            "b_right": list(self.bright),
+            "b_add": self.bgroup.addition.ravel().tolist(),
+            "b_left": self.bleft.ravel().tolist(),
+            "b_right": self.bright.ravel().tolist(),
             "k_size": self.kmodule.size,
-            "k_add": list(self.kmodule.add),
-            "k_act": list(self.kmodule.act),
-            "delta": list(self.delta),
-            "dot": list(self.dot),
+            "k_add": self.kmodule.add.tolist(),
+            "k_act": self.kmodule.act.tolist(),
+            "delta": self.delta.tolist(),
+            "dot": self.dot.ravel().tolist(),
         }
 
 
@@ -382,49 +377,40 @@ def shifted_module(form: LinearForm, kmodule: LeftModule, name: str = "") -> DBi
 def cone_bimodule(
     form: LinearForm,
     bgroup: AbelianGroup,
-    bleft: tuple[int, ...],
-    bright: tuple[int, ...],
+    bleft,
+    bright,
     name: str = "",
 ) -> DBimodule:
     """The bimodule with K = B (x)_R M, dot the canonical pairing and
     delta(b (x) m) = b * d(m)."""
-    R, M = form.ring, form.module
-    require_range("bimodule-left-entry", bleft, bgroup.size)
-    require_range("bimodule-right-entry", bright, bgroup.size)
+    R, M, nb = form.ring, form.module, bgroup.size
+    bleft = as_table(bleft, (R.size, nb), nb, "bimodule-left-entry", "bimodule-action-length")
+    bright = as_table(bright, (nb, R.size), nb, "bimodule-right-entry", "bimodule-action-length")
     tensor, pair = tensor_over_ring(R, bgroup, bright, M)
-    pairv = lambda b, m: pair[b * M.size + m]
+    pure = pair.ravel().tolist()  # b (x) m in (b, m) order
     # left module structure on the tensor: r.(b (x) m) = (rb) (x) m, an
     # additive map determined by its values on pure tensors
     act = []
     for r in range(R.size):
-        table, conflict = extend_additive(tensor, tensor, [
-            (pairv(b, m), pairv(bleft[r * bgroup.size + b], m))
-            for b in range(bgroup.size) for m in range(M.size)
-        ])
+        images = pair[bleft[r]].ravel().tolist()
+        table, conflict = extend_additive(tensor, tensor, zip(pure, images))
         if conflict is not None:
             raise InvariantViolation("tensor-action-ill-defined", (r, conflict))
         if None in table:
             raise InvariantViolation("tensor-not-generated", r)
         act.extend(table)
-    kmod = LeftModule(R, tensor.size, tensor.add, tuple(act), name=f"{name}-K")
+    kmod = LeftModule(R, tensor.size, tensor.addition, act, name=f"{name}-K")
     # delta(b (x) m) = b d(m), extended additively
-    delta, conflict = extend_additive(tensor, bgroup, [
-        (pairv(b, m), bright[b * R.size + form.d[m]])
-        for b in range(bgroup.size) for m in range(M.size)
-    ])
+    delta, conflict = extend_additive(tensor, bgroup, zip(pure, bright[:, form.d].ravel().tolist()))
     if conflict is not None:
         raise InvariantViolation("tensor-delta-ill-defined", conflict)
     if None in delta:
         raise InvariantViolation("tensor-delta-partial", tensor.size - delta.count(None))
-    delta = tuple(delta)
     return DBimodule(
         form, bgroup, bleft, bright, kmod, delta, pair, name or "C(B)"
     )
 
 
-def regular_bimodule(ring: FiniteRing) -> tuple[AbelianGroup, tuple[int, ...], tuple[int, ...]]:
+def regular_bimodule(ring: FiniteRing) -> tuple[AbelianGroup, np.ndarray, np.ndarray]:
     """R as an R-R-bimodule: (group, left action, right action)."""
-    grp = ring.additive_group()
-    left = ring.mul
-    right = ring.mul
-    return grp, tuple(left), tuple(right)
+    return ring.additive_group(), ring.multiplication, ring.multiplication

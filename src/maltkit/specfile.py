@@ -51,6 +51,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .abgroup import AbelianGroup
 from .algebra import FiniteAlgebra, Operation
 from .congruence import Congruence, congruence_violation
@@ -453,7 +455,7 @@ def _name(store, entity) -> str:
 def _clauses(*clauses) -> str:
     """`word value` for an integer or a name, `word = [..]` for a table."""
     return " ".join(f"{w} {v}" if isinstance(v, (int, str)) else
-                    f"{w} = [{' '.join(map(str, v))}]" for w, v in clauses)
+                    f"{w} = [{' '.join(map(str, np.ravel(v).tolist()))}]" for w, v in clauses)
 
 
 def serialize(doc: SpecDocument) -> str:
@@ -473,10 +475,11 @@ def serialize(doc: SpecDocument) -> str:
         entries = " ".join(f"({x} {y} {z} -> {tern(x, y, z)})" for x, y, z in tern.domain())
         put("tern", name, f"size {tern.size}{base} table: {entries}")
     for name, mon in sorted(doc.monoids.items()):
-        put("monoid", name, _clauses(("size", mon.size), ("unit", mon.unit), ("mul", mon.mul)))
+        put("monoid", name, _clauses(("size", mon.size), ("unit", mon.unit),
+                                     ("mul", mon.multiplication)))
     for name, sys_ in sorted(doc.systems.items()):
         n = range(sys_.monoid.size)
-        groups = (f"group {x} {{ {_clauses(('size', g.size), ('add', g.add))} }}"
+        groups = (f"group {x} {{ {_clauses(('size', g.size), ('add', g.addition))} }}"
                   for x, g in enumerate(sys_.groups))
         put("natsys", name, " ".join([*groups, _clauses(
             *((f"left {b} {x}", sys_.left[b][x]) for b in n for x in n),
@@ -491,7 +494,7 @@ def serialize(doc: SpecDocument) -> str:
         put("form", name, _clauses(("d", form.d)), f" on {_name(doc.modules, form.module)}")
     for name, bim in sorted(doc.bimodules.items()):
         put("bimodule", name, _clauses(
-            ("bsize", bim.bgroup.size), ("badd", bim.bgroup.add), ("bleft", bim.bleft),
+            ("bsize", bim.bgroup.size), ("badd", bim.bgroup.addition), ("bleft", bim.bleft),
             ("bright", bim.bright), ("ksize", bim.kmodule.size), ("kadd", bim.kmodule.add),
             ("kact", bim.kmodule.act), ("delta", bim.delta), ("dot", bim.dot)),
             f" on {_name(doc.forms, bim.form)}")

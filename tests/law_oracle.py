@@ -22,6 +22,17 @@ from maltkit.errors import CloneBudgetExceeded, InvariantViolation
 from maltkit.rings import DBimodule, LeftModule
 
 
+def flat(table):
+    """A table, of any shape, in the flat exchange order as a tuple of ints."""
+    return tuple(np.ravel(table).tolist())
+
+
+def _op(table, n):
+    """A binary operation read off its flat table by index arithmetic."""
+    flat_table = flat(table)
+    return lambda a, b: flat_table[a * n + b]
+
+
 def _first(cases):
     """cases yields (law, witness, holds) in loop order."""
     for law, witness, holds in cases:
@@ -64,10 +75,11 @@ def ring_violation(n, add, mul, zero, one):
 def affinity_violation(form, n, herd, raction, phi):
     """First failing affinity axiom: each law over all its tuples in turn."""
     R, M = form.ring, form.module
+    herd, raction, phi = flat(herd), flat(raction), flat(phi)
     H = lambda b, a, c: herd[(b * n + a) * n + c]
     act = lambda r, a, b: raction[(r * n + a) * n + b]
     PH = lambda x, a: phi[x * n + a]
-    sub = lambda b, a, c: H(b, a, act(R.neg(R.one), a, c))
+    sub = lambda b, a, c: H(b, a, act(R.additive_group().neg[R.one], a, c))
     rng, rr, mm = range(n), range(R.size), range(M.size)
     laws = [
         ("plus-associative", (rng,) * 4,
@@ -78,14 +90,14 @@ def affinity_violation(form, n, herd, raction, phi):
         ("scale-distributes", (rr, rng, rng, rng),
          lambda r, a, b, c: act(r, a, H(b, a, c)) == H(act(r, a, b), a, act(r, a, c))),
         ("scale-adds", (rr, rr, rng, rng),
-         lambda r, s, a, b: act(R.plus(r, s), a, b) == H(act(r, a, b), a, act(s, a, b))),
+         lambda r, s, a, b: act(R.add[r * R.size + s], a, b) == H(act(r, a, b), a, act(s, a, b))),
         ("scale-unit", (rng,) * 2, lambda a, b: act(R.one, a, b) == b),
         ("scale-multiplies", (rr, rr, rng, rng),
-         lambda r, s, a, b: act(r, a, act(s, a, b)) == act(R.mulv(r, s), a, b)),
+         lambda r, s, a, b: act(r, a, act(s, a, b)) == act(R.mul[r * R.size + s], a, b)),
         ("phi-additive", (mm, mm, rng),
-         lambda x, y, a: PH(M.plus(x, y), a) == H(PH(x, a), a, PH(y, a))),
+         lambda x, y, a: PH(M.add[x * M.size + y], a) == H(PH(x, a), a, PH(y, a))),
         ("phi-linear", (rr, mm, rng),
-         lambda r, x, a: PH(M.smul(r, x), a) == act(r, a, PH(x, a))),
+         lambda r, x, a: PH(M.act[r * M.size + x], a) == act(r, a, PH(x, a))),
         ("base-change-plus", (rng,) * 4,
          lambda o, a, b, c: H(b, a, c) == H(H(sub(b, o, a), o, sub(c, o, a)), o, a)),
         ("base-change-scale", (rr, rng, rng, rng),
@@ -103,16 +115,19 @@ def affinity_violation(form, n, herd, raction, phi):
 def monoid_extension_violation(total, base, proj, system, actions):
     """First failing law of MonoidExtension(total, base, proj, system, actions),
     for a valid system over `base` and entries in range."""
+    tmul, bmul = _op(total.multiplication, total.size), _op(base.multiplication, base.size)
+
     def cases():
         yield "extension-proj-length", len(proj), len(proj) == total.size
         yield "extension-proj-surjective", None, set(proj) == set(range(base.size))
         yield "extension-proj-unit", None, proj[total.unit] == base.unit
         for a, b in itertools.product(range(total.size), repeat=2):
             yield ("extension-proj-hom", (a, b),
-                   proj[total.mulv(a, b)] == base.mulv(proj[a], proj[b]))
+                   proj[tmul(a, b)] == bmul(proj[a], proj[b]))
         for b in range(base.size):
             fib = [e for e in range(total.size) if proj[e] == b]
-            g, table, k = system.groups[b], actions[b], len(fib)
+            g, table, k = system.groups[b], flat(actions[b]), len(fib)
+            gplus = _op(g.addition, g.size)
             yield "extension-action-length", b, len(table) == g.size * k
             for d, i in itertools.product(range(g.size), range(k)):
                 yield "extension-action-fiber", (b, d, fib[i]), proj[table[d * k + i]] == b
@@ -121,7 +136,7 @@ def monoid_extension_violation(total, base, proj, system, actions):
                 for d1, d2 in itertools.product(range(g.size), repeat=2):
                     step = fib.index(table[d2 * k + i])
                     yield ("extension-action-sum", (b, d1, d2, e),
-                           table[g.plus(d1, d2) * k + i] == table[d1 * k + step])
+                           table[gplus(d1, d2) * k + i] == table[d1 * k + step])
     return _first(cases())
 
 
@@ -153,6 +168,7 @@ def linear_extension_report(ext):
     """(ok, reason, witness) of check_linear_extension: the subtraction table
     of each fibre as a dict of pairs, then both identities in nested loops."""
     total, base, proj, sys_ = ext.total, ext.base, ext.proj, ext.system
+    tmul, bmul = _op(total.multiplication, total.size), _op(base.multiplication, base.size)
     fibres = [tuple(e for e in range(total.size) if proj[e] == b) for b in range(base.size)]
     subs = []
     for b, fib in enumerate(fibres):
@@ -162,7 +178,7 @@ def linear_extension_report(ext):
         table = {}
         for d in range(g.size):
             for i, e2 in enumerate(fib):
-                e1 = ext.actions[b][d * len(fib) + i]
+                e1 = flat(ext.actions[b])[d * len(fib) + i]
                 if (e1, e2) in table:
                     return False, "action is not free", (b,)
                 table[(e1, e2)] = d
@@ -172,17 +188,17 @@ def linear_extension_report(ext):
     for e1 in range(total.size):
         b1 = proj[e1]
         for b2 in range(base.size):
-            tgt = base.mulv(b1, b2)
+            tgt = bmul(b1, b2)
             for e2, e2p in itertools.product(fibres[b2], repeat=2):
-                lhs = subs[tgt][(total.mulv(e1, e2), total.mulv(e1, e2p))]
+                lhs = subs[tgt][(tmul(e1, e2), tmul(e1, e2p))]
                 if lhs != sys_.left[b1][b2][subs[b2][(e2, e2p)]]:
                     return False, "left subtraction identity fails", (e1, e2, e2p)
     for e2 in range(total.size):
         b2 = proj[e2]
         for b1 in range(base.size):
-            tgt = base.mulv(b1, b2)
+            tgt = bmul(b1, b2)
             for e1, e1p in itertools.product(fibres[b1], repeat=2):
-                lhs = subs[tgt][(total.mulv(e1, e2), total.mulv(e1p, e2))]
+                lhs = subs[tgt][(tmul(e1, e2), tmul(e1p, e2))]
                 if lhs != sys_.right[b1][b2][subs[b1][(e1, e1p)]]:
                     return False, "right subtraction identity fails", (e1, e1p, e2)
     return True, "linear extension", None
@@ -192,14 +208,16 @@ def form_isomorphism(f1, f2, isomorphisms):
     """First (ring iso, module iso) intertwining the forms, trying the
     additive isomorphisms in the order `isomorphisms` lists them."""
     R1, R2, M1, M2 = f1.ring, f2.ring, f1.module, f2.module
+    mul1, mul2 = _op(R1.mul, R1.size), _op(R2.mul, R2.size)
+    act1, act2 = _op(M1.act, M1.size), _op(M2.act, M2.size)
     for f in isomorphisms(R1.additive_group(), R2.additive_group()):
         if f[R1.one] != R2.one:
             continue
-        if any(f[R1.mulv(a, b)] != R2.mulv(f[a], f[b])
+        if any(f[mul1(a, b)] != mul2(f[a], f[b])
                for a in range(R1.size) for b in range(R1.size)):
             continue
         for g in isomorphisms(M1.additive_group(), M2.additive_group()):
-            if any(g[M1.smul(r, x)] != M2.smul(f[r], g[x])
+            if any(g[act1(r, x)] != act2(f[r], g[x])
                    for r in range(R1.size) for x in range(M1.size)):
                 continue
             if all(f2.d[g[x]] == f[f1.d[x]] for x in range(M1.size)):
@@ -214,19 +232,21 @@ def crext_report(ext):
     a kernel."""
     S, R, N, M = ext.total.ring, ext.base.ring, ext.total.module, ext.base.module
     p, q = ext.ring_map, ext.module_map
+    splus, smul = _op(S.add, S.size), _op(S.mul, S.size)
+    nplus, nact = _op(N.add, N.size), _op(N.act, N.size)
     bker = [s for s in range(S.size) if p[s] == R.zero]
     kker = [x for x in range(N.size) if q[x] == M.zero]
     for b1, b2 in itertools.product(bker, repeat=2):
-        if S.mulv(b1, b2) != S.zero:
+        if smul(b1, b2) != S.zero:
             return False, "ring kernel does not square to zero", (b1, b2), None
     for b, k in itertools.product(bker, kker):
-        if N.smul(b, k) != N.zero:
+        if nact(b, k) != N.zero:
             return False, "ring kernel does not annihilate the module kernel", (b, k), None
     bslot = {b: i for i, b in enumerate(bker)}
     kslot = {k: i for i, k in enumerate(kker)}
     lifts_r = [[s for s in range(S.size) if p[s] == r] for r in range(R.size)]
     lifts_m = [[x for x in range(N.size) if q[x] == m] for m in range(M.size)]
-    bgrp = AbelianGroup(len(bker), tuple(bslot[S.plus(a, b)] for a in bker for b in bker))
+    bgrp = AbelianGroup(len(bker), tuple(bslot[splus(a, b)] for a in bker for b in bker))
 
     def induced(reason, cases, slot):
         out = []
@@ -237,16 +257,16 @@ def crext_report(ext):
         return None, tuple(out)
 
     bad, bleft = induced("left action ill-defined", [
-        ((r, b), {S.mulv(s, b) for s in lifts_r[r]}) for r in range(R.size) for b in bker], bslot)
+        ((r, b), {smul(s, b) for s in lifts_r[r]}) for r in range(R.size) for b in bker], bslot)
     if bad:
         return bad
     bad, bright = induced("right action ill-defined", [
-        ((b, r), {S.mulv(b, s) for s in lifts_r[r]}) for b in bker for r in range(R.size)], bslot)
+        ((b, r), {smul(b, s) for s in lifts_r[r]}) for b in bker for r in range(R.size)], bslot)
     if bad:
         return bad
-    kadd = tuple(kslot[N.plus(a, b)] for a in kker for b in kker)
+    kadd = tuple(kslot[nplus(a, b)] for a in kker for b in kker)
     bad, kact = induced("kernel module action ill-defined", [
-        ((r, k), {N.smul(s, k) for s in lifts_r[r]}) for r in range(R.size) for k in kker], kslot)
+        ((r, k), {nact(s, k) for s in lifts_r[r]}) for r in range(R.size) for k in kker], kslot)
     if bad:
         return bad
     try:
@@ -259,7 +279,7 @@ def crext_report(ext):
     dot = []
     for b in bker:
         for m in range(M.size):
-            vals = {N.smul(b, x) for x in lifts_m[m]}
+            vals = {nact(b, x) for x in lifts_m[m]}
             if len(vals) != 1:
                 return False, "pairing ill-defined", (b, m), None
             v = vals.pop()
@@ -282,27 +302,28 @@ def derivations(form, bim):
     and nabla(r m) = d(r).m + r nabla(m); Ider the set of the ad(k)."""
     R, M, B, K = form.ring, form.module, bim.bgroup, bim.kmodule
     rr, mm, kk = range(R.size), range(M.size), range(K.size)
-    lact = lambda r, b: bim.bleft[r * B.size + b]
-    ract = lambda b, r: bim.bright[b * R.size + r]
-    dot = lambda b, m: bim.dot[b * M.size + m]
+    lact, ract, dot = _op(bim.bleft, B.size), _op(bim.bright, R.size), _op(bim.dot, M.size)
+    rplus, mplus, bplus, kplus = (_op(G.addition, G.size) for G in (R, M, B, K))
+    rmul, mact, kact = _op(R.mul, R.size), _op(M.act, M.size), _op(K.act, K.size)
+    fd, delta = flat(form.d), flat(bim.delta)
 
-    def additive(f, src, dst):
-        return all(f[src.plus(x, y)] == dst.plus(f[x], f[y])
-                   for x, y in itertools.product(range(src.size), repeat=2))
+    def additive(f, src_plus, dst_plus, n):
+        return all(f[src_plus(x, y)] == dst_plus(f[x], f[y])
+                   for x, y in itertools.product(range(n), repeat=2))
 
     ds = [d for d in itertools.product(range(B.size), repeat=R.size)
-          if additive(d, R, B)
-          and all(d[R.mulv(r, s)] == B.plus(ract(d[r], s), lact(r, d[s]))
+          if additive(d, rplus, bplus, R.size)
+          and all(d[rmul(r, s)] == bplus(ract(d[r], s), lact(r, d[s]))
                   for r, s in itertools.product(rr, rr))]
-    nablas = [n for n in itertools.product(kk, repeat=M.size) if additive(n, M, K)]
+    nablas = [n for n in itertools.product(kk, repeat=M.size) if additive(n, mplus, kplus, M.size)]
     der = {(d, n) for d in ds for n in nablas
-           if all(d[form.d[m]] == bim.delta[n[m]] for m in mm)
-           and all(n[M.smul(r, m)] == K.plus(dot(d[r], m), K.smul(r, n[m]))
+           if all(d[fd[m]] == delta[n[m]] for m in mm)
+           and all(n[mact(r, m)] == kplus(dot(d[r], m), kact(r, n[m]))
                    for r, m in itertools.product(rr, mm))}
-    inner = {(tuple(B.minus(lact(r, bim.delta[k]), ract(bim.delta[k], r)) for r in rr),
-              tuple(K.minus(K.smul(form.d[m], k), dot(bim.delta[k], m)) for m in mm))
+    inner = {(tuple(B.minus(lact(r, delta[k]), ract(delta[k], r)) for r in rr),
+              tuple(K.minus(kact(fd[m], k), dot(delta[k], m)) for m in mm))
              for k in kk}
-    h0 = tuple(k for k in kk if all(K.smul(form.d[m], k) == dot(bim.delta[k], m) for m in mm))
+    h0 = tuple(k for k in kk if all(kact(fd[m], k) == dot(delta[k], m) for m in mm))
     return der, inner, h0, len(der) // len(inner)
 
 
@@ -312,7 +333,7 @@ def is_homomorphism(h):
         top = h.target.op(op.name)
         for args in itertools.product(range(h.source.size), repeat=op.arity):
             mapped = tuple(h.map[a] for a in args)
-            if h.map[h.source.apply(op, args)] != h.target.apply(top, mapped):
+            if h.map[op.values[args]] != top.values[mapped]:
                 return False
     return True
 
@@ -354,7 +375,7 @@ def term_ops(alg, arity, budget):
         snapshot = len(tables)
         produced = False
         for op in alg.ops:
-            arr = alg.op_array(op)
+            arr = op.values
             if op.arity == 0:
                 if rnd == 1:
                     tried += 1

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import law_oracle
+from law_oracle import flat
 from maltkit import algebra, laws
 from maltkit.affinity import FreeAffinity, _binary_terms
 from maltkit.algebra import (
@@ -15,7 +16,6 @@ from maltkit.algebra import (
     Homomorphism,
     Operation,
     eval_term,
-    index_tuple,
     is_homomorphism,
     iter_term_ops,
     mixed_index,
@@ -23,7 +23,6 @@ from maltkit.algebra import (
     product,
     subuniverse_generate,
     term_clone,
-    tuple_index,
 )
 from maltkit.catalog import cyclic_group, group_corpus, maltsev_corpus
 from maltkit.commutator import is_abelian
@@ -39,7 +38,7 @@ def brute_closure(alg, generators):
         new = set()
         for op in alg.ops:
             for args in itertools.product(sorted(members), repeat=op.arity):
-                v = alg.apply(op, args)
+                v = int(op.values[args])
                 if v not in members:
                     new.add(v)
         if not new:
@@ -49,7 +48,7 @@ def brute_closure(alg, generators):
 
 def test_tuple_index_roundtrip():
     for args in itertools.product(range(3), repeat=4):
-        assert index_tuple(3, 4, tuple_index(3, args)) == args
+        assert mixed_unindex((3,) * 4, mixed_index((3,) * 4, args)) == args
 
 
 @given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4), st.data())
@@ -85,7 +84,7 @@ def test_product_single_factor_identity():
     z3 = cyclic_group(3)
     again = product([z3])
     assert again.size == 3
-    assert [op.table for op in again.ops] == [op.table for op in z3.ops]
+    assert [op.table.tolist() for op in again.ops] == [op.table.tolist() for op in z3.ops]
 
 
 def test_product_z2_z3_against_pairwise_oracle():
@@ -108,9 +107,7 @@ def test_product_projections_recover_factors():
             pop = p.op(op.name)
             for args in itertools.product(range(p.size), repeat=op.arity):
                 decoded = tuple(mixed_unindex(sizes, a)[i] for a in args)
-                assert mixed_unindex(sizes, p.apply(pop, args))[i] == factor.apply(
-                    op, decoded
-                )
+                assert mixed_unindex(sizes, pop.values[args])[i] == op.values[decoded]
 
 
 def test_product_signature_mismatch():
@@ -173,19 +170,19 @@ def test_term_clone_z2_sum_arity1():
     table = tuple((x + y + z) % 2 for x, y, z in itertools.product(range(2), repeat=3))
     alg = one_ternary(table, 2)
     clone = term_clone(alg, 1)
-    assert [t.table for t in clone] == [(0, 1)]
+    assert [flat(t.values) for t in clone] == [(0, 1)]
 
 
 def test_term_clone_z2_sum_arity2():
     table = tuple((x + y + z) % 2 for x, y, z in itertools.product(range(2), repeat=3))
     alg = one_ternary(table, 2)
     clone = term_clone(alg, 2)
-    assert sorted(t.table for t in clone) == [(0, 0, 1, 1), (0, 1, 0, 1)]
+    assert sorted(flat(t.values) for t in clone) == [(0, 0, 1, 1), (0, 1, 0, 1)]
 
 
 def test_term_clone_always_contains_identity(z4):
     clone = term_clone(z4, 1)
-    assert (0, 1, 2, 3) in {t.table for t in clone}
+    assert (0, 1, 2, 3) in {flat(t.values) for t in clone}
     assert clone[0].witness == ("var", 0)
 
 
@@ -209,7 +206,7 @@ def sequence(term_ops):
     out = []
     try:
         for t in term_ops:
-            out.append((t.table, t.witness) if hasattr(t, "table") else t)
+            out.append((flat(t.values), t.witness) if hasattr(t, "values") else t)
     except CloneBudgetExceeded as exc:
         out.append(("budget", exc.count, exc.round, exc.combos_tried))
     return out
@@ -300,7 +297,7 @@ def test_binary_terms_on_free_affinities(monkeypatch):
             law_oracle.term_ops(alg, 2, budget))
     axes = np.union1d(np.arange(16) * 16, np.arange(16))
     for rows, term in _term_blocks(alg, _projections(16, 2), 100, axes):
-        assert rows.tolist() == [list(term(i).table) for i in range(len(rows))]
+        assert rows.tolist() == [term(i).values.ravel().tolist() for i in range(len(rows))]
 
 
 def test_binary_terms_packed():
@@ -363,9 +360,9 @@ def test_blocks_split_inside_one_prefix(monkeypatch):
     with pytest.raises(CloneBudgetExceeded) as exc:
         for rows, term in _term_blocks(groupoid, _projections(3, 3), 200):
             blocks.append([term(i) for i in range(len(rows))])
-            assert [t.table for t in blocks[-1]] == [tuple(r) for r in rows.tolist()]
-    flat = [(t.table, t.witness) for block in blocks for t in block]
-    assert flat + [("budget", exc.value.count, exc.value.round, exc.value.combos_tried)] \
+            assert [flat(t.values) for t in blocks[-1]] == [tuple(r) for r in rows.tolist()]
+    found = [(flat(t.values), t.witness) for block in blocks for t in block]
+    assert found + [("budget", exc.value.count, exc.value.round, exc.value.combos_tried)] \
         == sequence(law_oracle.term_ops(groupoid, 3, 200))
     assert any(a[-1].witness[:-1] == b[0].witness[:-1] for a, b in zip(blocks, blocks[1:]))
 
@@ -436,7 +433,7 @@ def test_runs_of_several_prefixes_match_oracle(monkeypatch):
             else:
                 assert sequence(_binary_terms(alg, budget)) == oracle
             blocks, progress = engine_blocks(alg, arity, budget, cols)
-            assert [(t.table, t.witness) for b in blocks for t in b] + (
+            assert [(flat(t.values), t.witness) for b in blocks for t in b] + (
                 [("budget", *progress)] if progress else []) == oracle
             shapes |= run_shapes(blocks, binary)
     assert shapes == {"several prefixes", "ends inside a prefix", "ends inside a group"}
@@ -472,11 +469,11 @@ def test_maltsev_hit_in_a_later_prefix_of_its_run():
     for name in ("Z3", "Z4", "Z5", "AffQ3"):
         alg = corpus[name]
         blocks, _ = engine_blocks(alg, 3, 150)
-        block = next(b for b in blocks if any(is_maltsev_table(t.table, alg.size) for t in b))
-        hit = next(t for t in block if is_maltsev_table(t.table, alg.size))
+        block = next(b for b in blocks if any(is_maltsev_table(t.values, alg.size) for t in b))
+        hit = next(t for t in block if is_maltsev_table(t.values, alg.size))
         assert hit.witness[:-1] != block[0].witness[:-1], name
         found = find_maltsev_term(alg, 150)
-        assert (found.table, found.witness) == first_maltsev(
+        assert (flat(found.values), found.witness) == first_maltsev(
             law_oracle.term_ops(alg, 3, 150), alg.size)
 
 
@@ -491,7 +488,7 @@ def test_budget_runs_out_inside_the_block_of_a_maltsev_row():
     assert [is_maltsev_table(t, 5) for t, _ in oracle].index(True) == 11
     assert len({w[:-1] for _, w in oracle[10:13]}) == 1
     found = find_maltsev_term(subq5, 12)
-    assert (found.table, found.witness) == oracle[11]
+    assert (flat(found.values), found.witness) == oracle[11]
     for budget in (10, 11):
         with pytest.raises(CloneBudgetExceeded) as exc:
             find_maltsev_term(subq5, budget)
@@ -542,7 +539,7 @@ def test_find_maltsev_term_stops_where_the_oracle_does():
     for alg in algs:
         try:
             found = find_maltsev_term(alg, 150)
-            found = found and (found.table, found.witness)
+            found = found and (flat(found.values), found.witness)
         except CloneBudgetExceeded as exc:
             found = "budget", exc.count, exc.round, exc.combos_tried
         assert found == first_maltsev(law_oracle.term_ops(alg, 3, 150), alg.size)
@@ -550,7 +547,7 @@ def test_find_maltsev_term_stops_where_the_oracle_does():
 
 def test_term_clone_closed_under_composition(z4):
     clone2 = term_clone(z4, 2)
-    tables = {t.table for t in clone2}
+    tables = {flat(t.values) for t in clone2}
     # compose a few members through their witnesses: t(u(x,y), v(x,y))
     for t in clone2[:4]:
         for u in clone2[:4]:
@@ -572,7 +569,7 @@ def test_term_clone_closed_under_composition(z4):
 def test_empty_algebra_clone():
     empty = FiniteAlgebra(0, (Operation("f", 2, ()),))
     clone = term_clone(empty, 2)
-    assert len(clone) == 1 and clone[0].table == ()
+    assert len(clone) == 1 and flat(clone[0].values) == ()
 
 
 def test_is_homomorphism(z4):

@@ -13,7 +13,7 @@ from maltkit.catalog import dihedral_group
 from maltkit.cli import main
 from maltkit.errors import CloneBudgetExceeded
 from maltkit.maltsev import find_maltsev_term
-from maltkit.rings import cyclic_ring
+from maltkit.rings import DBimodule, cyclic_ring, module_over_self
 from maltkit.specfile import parse_files
 
 DATA = Path(__file__).parent / "data"
@@ -171,6 +171,44 @@ def test_derivations_bimodule_over_another_form(capsys):
     assert code == 1
     assert json.loads(out)["error"] == {
         "code": "InvariantViolation", "message": "the bimodule is over another linear form"}
+
+
+def test_derivations_bimodule_over_an_equal_form(capsys, tmp_path):
+    """A form built separately from equal tables, on its own ring and
+    module, is the bimodule's form: structures compare by their tables."""
+    text = (DATA / "forms.lf").read_text()
+    copy = "".join(line.replace("R4", "R4b").replace("M4", "M4b").replace("F4", "F4b") + "\n"
+                   for line in text.splitlines() if line.startswith(("ring R4", "module M4",
+                                                                      "form F4")))
+    spec = tmp_path / "forms.lf"
+    spec.write_text(text + copy)
+    code, out = run_cli(capsys, "derivations", str(spec), "--form", "F4b", "--bim", "CZ4")
+    assert code == 0
+    assert json.loads(out)["der"] == 1
+
+
+def test_bimodule_kmodule_over_an_equal_ring():
+    """DBimodule takes K over a ring built separately from equal tables."""
+    doc = parse_files([str(DATA / "forms.lf")])
+    form, bim = doc.forms["F4"], doc.bimodules["CZ4"]
+    kmodule = module_over_self(cyclic_ring(4))
+    assert kmodule.ring is not form.ring and kmodule.ring == form.ring
+    again = DBimodule(form, bim.bgroup, bim.bleft, bim.bright, kmodule, bim.delta, bim.dot)
+    assert again.kmodule.ring == form.ring
+
+
+@pytest.mark.parametrize("argv", [
+    ["lift", "--image", "q"], ["lift", "--preimage", "1,x"], ["lift", "--image", ""],
+    ["affinity-compose", "--form", "F4", "--outer", "x", "--inner", "0"],
+    ["affinity-compose", "--form", "F4", "--outer", "0,1,2", "--inner", "0,"],
+])
+def test_bad_operation_literal_is_a_usage_error(capsys, argv):
+    """An operation literal that is not integers, the empty one included, is
+    refused by the argument parser: exit 64 and nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], str(DATA / "forms.lf"), *argv[1:]])
+    assert exc.value.code == 64
+    assert capsys.readouterr().out == ""
 
 
 def test_crext_and_lift_verbs(capsys):
@@ -363,8 +401,8 @@ def test_clone_enumeration_peak_memory(tmp_path):
     ring = cyclic_ring(6)
     z6 = tmp_path / "z6.lf"
     z6.write_text(
-        f"ring R {{ size 6 add = {list(ring.add)} mul = {list(ring.mul)} }}\n"
-        f"module M over R {{ size 6 add = {list(ring.add)} act = {list(ring.mul)} }}\n"
+        f"ring R {{ size 6 add = {ring.add.tolist()} mul = {ring.mul.tolist()} }}\n"
+        f"module M over R {{ size 6 add = {ring.add.tolist()} act = {ring.mul.tolist()} }}\n"
         f"form F on M {{ d = {list(range(6))} }}\n".replace(",", ""))
     code, parse_kb = child_peak_kb("parse", d8)
     assert code == 0

@@ -63,7 +63,7 @@ def test_centralize_term_independence():
     z2 = cyclic_group(2)
     p1 = group_maltsev_term(z2, "plus", "neg")
     # a different witness for the same (unique) Maltsev table
-    p2 = TermOp(3, p1.table, ("plus", ("plus", ("var", 0), ("var", 1)), ("var", 2)))
+    p2 = TermOp(3, p1.values, ("plus", ("plus", ("var", 0), ("var", 1)), ("var", 2)))
     assert centralize(z2, total(z2), total(z2), p1)
     assert centralize(z2, total(z2), total(z2), p2)
 

@@ -14,7 +14,7 @@ import law_oracle
 from law_oracle import affinity_violation, monoid_extension_violation, ring_violation
 from maltkit.abgroup import AbelianGroup, isomorphisms
 from maltkit.affinity import affinity_axiom_check, canonical_affinity_tables, form_isomorphism
-from maltkit.algebra import Homomorphism, is_homomorphism
+from maltkit.algebra import FiniteAlgebra, Homomorphism, Operation, is_homomorphism
 from maltkit.catalog import two_element_semilattice
 from maltkit.errors import DiagramError, InvariantViolation
 from maltkit.extensions import FormExtension, crext_check
@@ -52,7 +52,7 @@ EXTENSIONS = _extensions()
 
 def corrupted(data, table, size):
     """The table with one to three entries replaced by values in range(size)."""
-    table = list(table)
+    table = list(np.ravel(table).tolist())
     for _ in range(data.draw(st.integers(1, 3))):
         table[data.draw(st.integers(0, len(table) - 1))] = data.draw(st.integers(0, size - 1))
     return tuple(table)
@@ -123,6 +123,27 @@ def test_chunk_boundaries_keep_lexicographic_order(sizes):
     # a law over the first variable fails at its tuple padded with zeros
     prefix = ("prefix", lambda a: a != middle[0])
     assert first_violation(sizes, [laws[1], prefix]) == ("prefix", middle[:1])
+
+
+@pytest.mark.parametrize("build, law, witness", [
+    (lambda v: FiniteAlgebra(3, (Operation("f", 1, (0, v, 5)),)), "op-table-entry",
+     lambda v: ("f", v)),
+    (lambda v: FiniteAlgebra(3, (Operation("f", 1, (0, 5, v)),)), "op-table-entry",
+     lambda v: ("f", 5)),
+    (lambda v: AbelianGroup(2, (0, 1, 1, v)), "abgroup-entry", lambda v: v),
+    (lambda v: FiniteMonoid(2, 0, (0, 1, v, -1)), "monoid-entry", lambda v: v),
+    (lambda v: LinearForm(module_over_self(cyclic_ring(2)), (v, 0)), "form-entry", lambda v: v),
+    (lambda v: FiniteRing(2, (0, 1, 1, 0), (0, 0, 0, v), 0, 1), "ring-mul-entry", lambda v: v),
+])
+@pytest.mark.parametrize("v", [2**70, -2**70, 2**63])
+def test_entry_outside_int64_is_a_range_violation(build, law, witness, v):
+    """A table entry no int64 holds is reported as the first entry out of
+    range, a Python int, like any other; an earlier entry 5 comes first."""
+    with pytest.raises(InvariantViolation) as exc:
+        build(v)
+    assert (exc.value.law, exc.value.witness) == (law, witness(v))
+    found = exc.value.witness
+    assert type(found[-1] if isinstance(found, tuple) else found) is int
 
 
 def test_no_quantifiers_is_one_empty_tuple():
@@ -208,7 +229,7 @@ def linear_extension_case(draw):
         fib, g = split.fiber(b), system.groups[b]
         autos = isomorphisms(g, g) if g.size == len(fib) else []
         act = ((lambda d, i: i) if not autos or draw(0, 3) == 0
-               else lambda d, i, a=autos[draw(0, len(autos) - 1)]: g.plus(a[d], i))
+               else lambda d, i, a=autos[draw(0, len(autos) - 1)]: g.addition[a[d], i])
         new = sorted(perm[e] for e in fib)
         table = [0] * (g.size * len(fib))
         for d, i in itertools.product(range(g.size), range(len(fib))):
@@ -216,7 +237,7 @@ def linear_extension_case(draw):
         actions.append(tuple(table))
     mul = [0] * (n * n)
     for a, b in itertools.product(range(n), repeat=2):
-        mul[perm[a] * n + perm[b]] = perm[split.total.mulv(a, b)]
+        mul[perm[a] * n + perm[b]] = perm[split.total.multiplication[a, b]]
     total = FiniteMonoid(n, perm[split.total.unit], tuple(mul))
     return MonoidExtension(total, M2, tuple(proj), system, tuple(actions))
 
@@ -339,7 +360,7 @@ def relabelled_form(form, ring_perm, module_perm):
                       pi[R.zero], pi[R.one])
     act = [0] * (R.size * M.size)
     for r, x in itertools.product(range(R.size), range(M.size)):
-        act[pi[r] * M.size + sigma[x]] = sigma[M.smul(r, x)]
+        act[pi[r] * M.size + sigma[x]] = sigma[M.action[r, x]]
     module = LeftModule(ring, M.size, table(M.add, sigma, M.size), tuple(act))
     d = [0] * M.size
     for x in range(M.size):

@@ -11,7 +11,7 @@ def test_parse_minimal_algebra():
     doc = parse("algebra Z2 { size 2 op plus/2 = [0 1 1 0] }")
     assert list(doc.algebras) == ["Z2"]
     alg = doc.algebras["Z2"]
-    assert alg.size == 2 and alg.op("plus").table == (0, 1, 1, 0)
+    assert alg.size == 2 and alg.op("plus").table.tolist() == [0, 1, 1, 0]
 
 
 def test_table_length_diagnostic():
