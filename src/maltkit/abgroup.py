@@ -1,18 +1,16 @@
 """Finite abelian groups given by addition tables, plus hom/iso enumeration
-and quotient-by-presentation via integer Smith normal form.  A group holds
-its addition as a read-only (size, size) array and its negation as a
-(size,) array (see `algebra`)."""
+and integer Smith normal form.  A group holds its addition as a read-only
+(size, size) array and its negation as a (size,) array (see `algebra`)."""
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import mixed_index, mixed_unindex, same_tables
-from .errors import InternalError, InvariantViolation
+from .algebra import same_tables
+from .errors import InvariantViolation
 from .laws import as_table, require
 
 
@@ -215,25 +213,3 @@ def smith_normal_form(matrix: list[list[int]], ncols: int):
         t += 1
     # V was maintained transposed; hand back column vectors
     return diag, V
-
-
-def group_from_presentation(ngens: int, relations: list[list[int]]):
-    """Finite abelian group Z^ngens / <relations>.
-
-    Returns (group, coords) where coords maps a generator index to its
-    element of the quotient.  Raises if the quotient is infinite.
-    """
-    diag, V = smith_normal_form(relations, ngens)
-    if 0 in diag:
-        raise InternalError("presentation does not define a finite group")
-    keep = [i for i, d in enumerate(diag) if d != 1]
-    moduli = [diag[i] for i in keep]
-    size = math.prod(moduli)
-    elems = mixed_unindex(moduli, np.arange(size))
-    table = mixed_index(moduli, [(x[:, None] + x) % m for x, m in zip(elems, moduli)])
-    group = AbelianGroup(size, np.broadcast_to(table, (size, size)))
-    # generator g is the element with coordinates V[c][g] mod diag[c]; the
-    # entries of V can exceed int64, so they are reduced as Python ints
-    residues = np.array([V[c] for c in keep], dtype=object).reshape(len(keep), ngens)
-    coords = mixed_index(moduli, residues % np.array(moduli, dtype=object)[:, None])
-    return group, np.broadcast_to(coords, ngens).tolist()

@@ -10,14 +10,11 @@ against a functional interpretation on free affinities, whose herd,
 scaling and translation tables canonical_affinity_tables builds as arrays.
 The affinity axioms are checked on such tables by the kernel of `laws`.
 This module also hosts abelianization of an abelian Maltsev clone with
-its round-trip check, pseudoconstants, and the with-constants theory of a
-ring-module pair.
+its round-trip check and pseudoconstants.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -190,16 +187,6 @@ class FreeAffinity:
         ops += [Operation(f"sc{r}", 2, table) for r, table in enumerate(raction)]
         ops += [Operation(f"ph{x}", 1, table) for x, table in enumerate(phi)]
         return FiniteAlgebra(n, tuple(ops), name=f"free-affinity-{self.rank}")
-
-
-def all_ops(form: LinearForm, arity: int):
-    """Every theory operation of the given arity, lexicographically."""
-    if arity < 1:
-        return
-    R, M = form.ring, form.module
-    for x in range(M.size):
-        for rs in itertools.product(range(R.size), repeat=arity - 1):
-            yield AffinityOp(x, rs)
 
 
 # --- affinity axiom checking ----------------------------------------------
@@ -474,103 +461,3 @@ def roundtrip_check(
 def pseudoconstants(form: LinearForm) -> tuple[int, ...]:
     """Elements p of M with d(p) = 1; non-empty iff 1 lies in the image of d."""
     return tuple(np.flatnonzero(form.d == form.ring.one).tolist())
-
-
-# --- the with-constants theory of a ring-module pair ----------------------
-
-@dataclass(frozen=True)
-class TheoryWithConstants:
-    """Hom-sets Hom_R(R^k, K + R^n) of the theory of modules-under-K.
-
-    A morphism X^n -> X^k is a k-tuple of elements (kappa_j, rho_j) with
-    kappa_j in K and rho_j in R^n; composition pushes kappa through and
-    multiplies the matrices.  Unlike the theories of linear forms these
-    hom-sets contain constants (n = 0 is allowed) and the empty model is
-    excluded.
-    """
-
-    ring: FiniteRing
-    kmodule: LeftModule
-
-    empty_model_allowed = False
-
-    def hom_size(self, n: int, k: int) -> int:
-        return (self.kmodule.size * self.ring.size**n) ** k
-
-    def hom(self, n: int, k: int):
-        """All morphisms X^n -> X^k in a stable lexicographic order."""
-        K, R = self.kmodule, self.ring
-        coords = itertools.product(
-            range(K.size), *(range(R.size) for _ in range(n))
-        )
-        per_coord = [(kv, tuple(rv)) for (kv, *rv) in coords]
-        return [
-            tuple(choice) for choice in itertools.product(per_coord, repeat=k)
-        ]
-
-    def identity(self, n: int):
-        K, R = self.kmodule, self.ring
-        return tuple(
-            (K.zero, tuple(R.one if i == j else R.zero for i in range(n)))
-            for j in range(n)
-        )
-
-    def compose(self, outer, inner, n: int, l: int):
-        """outer: X^n -> X^k after inner: X^l -> X^n (n = middle arity)."""
-        K, R = self.kmodule, self.ring
-        kadd, kact, radd, rmul = K.addition, K.action, R.addition, R.multiplication
-        if len(inner) != n:
-            raise ArityError("middle arity mismatch")
-        out = []
-        for kappa, rho in outer:
-            if len(rho) != n:
-                raise ArityError("outer row width differs from middle arity")
-            k_acc = kappa
-            r_acc = [R.zero] * l
-            for coeff, (kappa2, rho2) in zip(rho, inner):
-                k_acc = int(kadd[k_acc, kact[coeff, kappa2]])
-                for t in range(l):
-                    r_acc[t] = int(radd[r_acc[t], rmul[coeff, rho2[t]]])
-            out.append((k_acc, tuple(r_acc)))
-        return tuple(out)
-
-    def project(self, morphism):
-        """Forget the K-components: the image in the theory of R-modules."""
-        return tuple(rho for _, rho in morphism)
-
-    def check_linear_extension_identities(self, max_arity: int = 2) -> bool:
-        """The two subtraction identities of a linear extension, verified on
-        all composable pairs up to the given arity.  Each hom-set is encoded
-        once as arrays of its kappa (H, k) and rho (H, k, n) parts, and
-        composition as a table of the kappa parts of all composites."""
-        K = self.kmodule
-        kadd, kact = K.addition, K.action
-        kminus = kadd[:, K.additive_group().neg]
-        homs, parts = {}, {}
-        for n, k in itertools.product(range(max_arity + 1), repeat=2):
-            homs[n, k] = hom = self.hom(n, k)
-            parts[n, k] = (np.array([[kv for kv, _ in h] for h in hom], dtype=np.int64),
-                           np.array([[rv for _, rv in h] for h in hom],
-                                    dtype=np.int64).reshape(len(hom), k, n))
-        for n, k, l in itertools.product(range(max_arity + 1), range(1, max_arity + 1),
-                                         range(max_arity + 1)):
-            comp = np.array([[[kv for kv, _ in self.compose(e1, e2, n, l)] for e2 in homs[l, n]]
-                             for e1 in homs[n, k]], dtype=np.int64)
-            (kap1, rho1), (kap2, rho2) = parts[n, k], parts[l, n]
-            same = lambda rho, a, b: (rho[a] == rho[b]).all((-2, -1))
-            # P(e1)(e2 - e2'): the R-matrix of e1 applied to a K-difference
-            matvec = lambda a, diff: functools.reduce(
-                lambda u, v: kadd[u, v], np.moveaxis(kact[rho1[a], diff[..., None, :]], -1, 0),
-                K.zero)
-            if first_violation((len(kap1), len(kap2), len(kap2)), [
-                ("left-subtraction", lambda a, b, c: ~same(rho2, b, c) | (
-                    kminus[comp[a, b], comp[a, c]] == matvec(a, kminus[kap2[b], kap2[c]])
-                ).all(-1)),
-            ]) or first_violation((len(kap1), len(kap1), len(kap2)), [
-                # the right action on differences is trivial: composition is
-                # affine in the outer K-part
-                ("right-subtraction", lambda a, b, c: ~same(rho1, a, b) | (
-                    kminus[comp[a, c], comp[b, c]] == kminus[kap1[a], kap1[b]]).all(-1)),
-            ]):
-                return False
-        return True

@@ -12,9 +12,9 @@ The flat order, with the *leftmost* argument most significant, so that
 contract only: files, JSON and the `table` view of an Operation.  Product
 carriers are coded in the same order by `mixed_index`.
 
-Nullary operations are arrays of shape (); they seed subuniverse and clone
-generation.  The empty algebra (size 0) is permitted and cannot carry
-nullary operations.
+Nullary operations are arrays of shape (); they seed clone generation.
+The empty algebra (size 0) is permitted and cannot carry nullary
+operations.
 """
 
 from __future__ import annotations
@@ -161,31 +161,6 @@ class FiniteAlgebra:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class Homomorphism:
-    source: FiniteAlgebra
-    target: FiniteAlgebra
-    map: np.ndarray  # (source.size,)
-
-    __eq__ = same_tables
-
-    def __post_init__(self):
-        object.__setattr__(self, "map", laws.as_table(
-            self.map, (self.source.size,), self.target.size, "hom-map-entry", "hom-map-length"))
-
-
-def is_homomorphism(h: Homomorphism) -> bool:
-    """Exhaustively check that h.map commutes with every shared operation."""
-    if h.source.signature() != h.target.signature():
-        raise SignatureError("source and target signatures differ")
-    for op in h.source.ops:
-        src, tgt = op.values, h.target.op(op.name).values
-        if laws.first_violation((h.source.size,) * op.arity, [
-                (op.name, lambda *a: h.map[src[a]] == tgt[tuple(h.map[x] for x in a)])]):
-            return False
-    return True
-
-
 def product(algebras) -> FiniteAlgebra:
     """Direct product acting coordinatewise.
 
@@ -208,21 +183,6 @@ def product(algebras) -> FiniteAlgebra:
         value = [alg.op(name).values[tuple(a[i] for a in args)] for i, alg in enumerate(algebras)]
         ops.append(Operation(name, arity, mixed_index(sizes, value)))
     return FiniteAlgebra(n, tuple(ops))
-
-
-def subuniverse_generate(alg: FiniteAlgebra, generators) -> tuple[int, ...]:
-    """Least subset containing the generators, closed under all operations.
-
-    Nullary operations always seed the closure.  Returns the subuniverse
-    sorted ascending.  It is the closure of the clone engine at one
-    coordinate, whose generator rows are the generators.
-    """
-    gens = sorted(set(generators))
-    for g in gens:
-        if not 0 <= g < alg.size:
-            raise InvariantViolation("generator-in-carrier", g)
-    blocks = _term_blocks(alg, np.reshape(gens, (-1, 1)), max(1, alg.size))
-    return tuple(sorted(v for rows, _ in blocks for v in rows[:, 0].tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,8 +269,8 @@ def _packing(n: int, widest: int, length: int) -> int:
 
 
 def _term_blocks(alg: FiniteAlgebra, gens, budget: int, cols=None):
-    """The clone engine behind iter_term_ops, the Maltsev search,
-    abelianize and subuniverse_generate.
+    """The clone engine behind iter_term_ops, the Maltsev search and
+    abelianize.
 
     It closes the generator rows gens under the operations, applied
     coordinatewise.  Column j of gens is a coordinate, an argument tuple of

@@ -243,7 +243,3 @@ def is_abelian(alg: FiniteAlgebra, p: TermOp) -> bool:
     if by_commutator != by_torsor:
         raise InternalError("commutator and torsor abelianness criteria disagree")
     return by_commutator
-
-
-def nilpotence_class(alg: FiniteAlgebra, p: TermOp, max_steps: int | None = None) -> int | None:
-    return lower_series(alg, p, max_steps).class_

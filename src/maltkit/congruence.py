@@ -1,4 +1,4 @@
-"""Partitions-as-congruences: generation, lattice operations, quotients.
+"""Partitions-as-congruences: generation, joins, quotients.
 
 A congruence is stored canonically as a block-index array: blocks are
 numbered by their least element (the block of 0 is block 0, the next new
@@ -14,10 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FiniteAlgebra, Operation
-from .errors import InvariantViolation, LatticeBudgetExceeded, NotACongruence
-
-DEFAULT_LATTICE_BUDGET = 100_000
-
+from .errors import InvariantViolation, NotACongruence
 
 @dataclass(frozen=True)
 class Congruence:
@@ -174,10 +171,6 @@ def congruence_violation(alg: FiniteAlgebra, cong: Congruence):
                 return (tuple(alg.translations[t].tolist()), a, b)
 
 
-def is_congruence(alg: FiniteAlgebra, cong: Congruence) -> bool:
-    return congruence_violation(alg, cong) is None
-
-
 def cg(alg: FiniteAlgebra, pairs) -> Congruence:
     """Least congruence containing the given pairs.
 
@@ -193,12 +186,6 @@ def cg(alg: FiniteAlgebra, pairs) -> Congruence:
     return _from_roots(_generate(alg.translations, alg.size, u, v))
 
 
-def meet(c1: Congruence, c2: Congruence) -> Congruence:
-    if c1.size != c2.size:
-        raise InvariantViolation("meet-same-carrier", (c1.size, c2.size))
-    return Congruence.from_labels(list(zip(c1.block_index, c2.block_index)))
-
-
 def join(alg: FiniteAlgebra, c1: Congruence, c2: Congruence) -> Congruence:
     """Join in the congruence lattice: the congruence generated by the union."""
     if c1.size != c2.size or c1.size != alg.size:
@@ -207,18 +194,6 @@ def join(alg: FiniteAlgebra, c1: Congruence, c2: Congruence) -> Congruence:
     _merge(roots, np.tile(roots, 2), np.concatenate([_first_elements(c1), _first_elements(c2)]))
     # the transitive closure of a union of congruences is already compatible
     return _from_roots(roots)
-
-
-def compose(c1: Congruence, c2: Congruence) -> frozenset:
-    """Relational composition c1 ; c2 as a set of pairs (not a congruence in general)."""
-    if c1.size != c2.size:
-        raise InvariantViolation("compose-same-carrier", (c1.size, c2.size))
-    out = set()
-    for b in range(c1.size):
-        lefts = [a for a in range(c1.size) if c1.same(a, b)]
-        rights = [c for c in range(c2.size) if c2.same(b, c)]
-        out.update((a, c) for a in lefts for c in rights)
-    return frozenset(out)
 
 
 def principal_congruences(alg: FiniteAlgebra) -> list[Congruence]:
@@ -233,44 +208,6 @@ def principal_congruences(alg: FiniteAlgebra) -> list[Congruence]:
     return out
 
 
-def all_congruences(
-    alg: FiniteAlgebra, budget: int = DEFAULT_LATTICE_BUDGET
-) -> tuple[Congruence, ...]:
-    """The complete congruence lattice.
-
-    Every congruence is the join of the principal congruences below it, so
-    the lattice is the closure of the principal congruences under joining
-    with a principal congruence.  The budget counts the joins performed;
-    each congruence past the principal ones costs at least one, so it
-    bounds the output as well as the work.
-    """
-    found: dict[tuple, Congruence] = {}
-    diag = Congruence.diagonal(alg.size)
-    found[diag.block_index] = diag
-    principals = principal_congruences(alg)
-    for c in principals:
-        found.setdefault(c.block_index, c)
-    frontier = list(found.values())
-    joins = 0
-    while frontier:
-        fresh = []
-        for c1 in frontier:
-            for c2 in principals:
-                if joins >= budget:
-                    raise LatticeBudgetExceeded(
-                        f"lattice budget {budget} exceeded: {joins} joins, "
-                        f"{len(found)} congruences found",
-                        count=joins,
-                    )
-                joins += 1
-                j = join(alg, c1, c2)
-                if j.block_index not in found:
-                    found[j.block_index] = j
-                    fresh.append(j)
-        frontier = fresh
-    return tuple(sorted(found.values(), key=lambda c: c.block_index))
-
-
 def quotient(alg: FiniteAlgebra, theta: Congruence):
     """Quotient algebra and projection map; raises NotACongruence when unfit."""
     witness = congruence_violation(alg, theta)
@@ -281,15 +218,3 @@ def quotient(alg: FiniteAlgebra, theta: Congruence):
     ops = tuple(Operation(op.name, op.arity, proj[op.values[np.ix_(*[reps] * op.arity)]])
                 for op in alg.ops)
     return FiniteAlgebra(theta.nblocks, ops), theta.block_index
-
-
-def quotient_congruence(
-    alg: FiniteAlgebra, theta: Congruence, below: Congruence
-) -> Congruence:
-    """Image of theta on the quotient by `below`.
-
-    `below <= theta` is not required: the result is the congruence on
-    M/below whose preimage is join(theta, below).
-    """
-    j = join(alg, theta, below)
-    return Congruence.from_labels([j.block_index[block[0]] for block in below.blocks()])

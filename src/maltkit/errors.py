@@ -83,10 +83,6 @@ class CloneBudgetExceeded(BudgetError):
     """Clone generation hit the element budget before completing."""
 
 
-class LatticeBudgetExceeded(BudgetError):
-    """Congruence lattice enumeration exceeded its budget or size cap."""
-
-
 class DerBudgetExceeded(BudgetError):
     """Derivation enumeration exceeded its budget."""
 

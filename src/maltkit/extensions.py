@@ -1,7 +1,7 @@
 """Extensions of linear forms: singular-extension checking, the induced
 coefficient bimodule, derivations with the low cohomology groups, and the
-Maltsev lift along an extension of theories.  Split extensions are built
-and derivations filtered as index arrays over the tables."""
+Maltsev lift along an extension of theories.  Derivations are filtered
+as index arrays over the tables."""
 
 from __future__ import annotations
 
@@ -16,8 +16,9 @@ from .affinity import (
     compose_affinity,
     is_maltsev_op,
     projection,
+    validate_op,
 )
-from .algebra import mixed_index, mixed_unindex, same_tables
+from .algebra import same_tables
 from .errors import (
     DerBudgetExceeded,
     DiagramError,
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .laws import as_table, first_violation
 from .maltsev import TernaryTable, check_maltsev
-from .rings import DBimodule, FiniteRing, LeftModule, LinearForm
+from .rings import DBimodule, LeftModule, LinearForm
 
 DERIVATION_BUDGET = 1_000_000  # most candidate pairs (d, nabla) enumerate_derivations tries
 
@@ -295,7 +296,8 @@ def lift_maltsev(
     ext: FormExtension, m_image: AffinityOp, preimage: AffinityOp | None = None
 ) -> AffinityOp:
     """Correct an arbitrary preimage of a base Maltsev operation into a
-    Maltsev operation of the total theory.
+    Maltsev operation of the total theory.  A given preimage must be an
+    operation of the total theory that projects to m_image.
 
     With x1, x3 the outer ternary projections and m the chosen preimage,
     the correction adds the three fibre differences
@@ -311,8 +313,10 @@ def lift_maltsev(
         raise NotMaltsev("base operation is not a ternary Maltsev operation")
     if preimage is None:
         preimage = _sections(ext, m_image)
-    elif _op_images(ext, preimage) != m_image:
-        raise DiagramError("preimage does not project to the base operation")
+    else:
+        validate_op(ext.total, preimage)
+        if _op_images(ext, preimage) != m_image:
+            raise DiagramError("preimage does not project to the base operation")
 
     total = ext.total
     m = preimage
@@ -334,37 +338,3 @@ def lift_maltsev(
     if not check_maltsev(tern):
         raise InternalError("lift fails the Maltsev check on the free affinity")
     return lifted
-
-
-def trivial_form_extension(bim: DBimodule, name: str = "") -> FormExtension:
-    """The split extension of forms determined by a bimodule: the total
-    form is delta + d on K + M -> B + R with the square-zero multiplication
-    (b,r)(b',r') = (br' + rb', rr') and action (b,r)(k,m) = (b.m + rk, rm).
-    S = B + R and N = K + M are encoded by `mixed_index`, the B and K
-    coordinates most significant."""
-    form = bim.form
-    R, M = form.ring, form.module
-    B, K = bim.bgroup, bim.kmodule
-    nr, nm, nb, nk = R.size, M.size, B.size, K.size
-    radd, rmul, madd, mact = R.addition, R.multiplication, M.addition, M.action
-    badd, kadd, kact = B.addition, K.addition, K.action
-    lact, ract, dot = bim.bleft, bim.bright, bim.dot
-    s_sizes, n_sizes = (nb, nr), (nk, nm)
-    b, r = mixed_unindex(s_sizes, np.arange(nb * nr))
-    k, m = mixed_unindex(n_sizes, np.arange(nk * nm))
-    b1, r1, b2, r2 = b[:, None], r[:, None], b[None], r[None]
-    S = FiniteRing(
-        nb * nr,
-        mixed_index(s_sizes, (badd[b1, b2], radd[r1, r2])),
-        mixed_index(s_sizes, (badd[ract[b1, r2], lact[r1, b2]], rmul[r1, r2])),
-        mixed_index(s_sizes, (B.zero, R.zero)),
-        mixed_index(s_sizes, (B.zero, R.one)),
-    )
-    k2, m2 = k[None], m[None]
-    N = LeftModule(
-        S, nk * nm,
-        mixed_index(n_sizes, (kadd[k[:, None], k2], madd[m[:, None], m2])),
-        mixed_index(n_sizes, (kadd[dot[b1, m2], kact[r1, k2]], mact[r1, m2])),
-    )
-    total = LinearForm(N, mixed_index(s_sizes, (bim.delta[k], form.d[m])))
-    return FormExtension(total, form, r, m, name=name or "split")

@@ -32,17 +32,24 @@ FIBERED = "fibered"
 MIXED = "mixed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TernaryTable:
+    """A ternary operation on the declared domain of its kind.
+
+    The constructor takes the values on the declared domain in
+    lexicographic order of the triples (on the full cube, that is the flat
+    row-major order, and an array of shape (size,)*3 will do) and holds
+    them as `table`, a read-only (size, size, size) int64 array with -1
+    outside the domain, which lookups and the law checks read.
+    """
+
     size: int
     kind: str = FULL
     base: tuple[int, ...] | None = None
-    entries: tuple[int, ...] = ()
+    table: np.ndarray = ()
     name: str = field(default="", compare=False)
 
-    # entries are stored flat over the *declared* domain in lexicographic
-    # order of the triples; `_table` holds them as an n x n x n array with
-    # -1 outside the domain, which is what lookups and the law checks read.
+    __eq__ = same_tables
 
     def __post_init__(self):
         if self.kind not in (FULL, FIBERED, MIXED):
@@ -50,64 +57,48 @@ class TernaryTable:
         if self.kind != FULL:
             if self.base is None or len(self.base) != self.size:
                 raise InvariantViolation("tern-base-length", self.base)
-        dom = list(self.domain())
-        if len(self.entries) != len(dom):
-            raise InvariantViolation(
-                "tern-entries-length", (len(self.entries), len(dom))
-            )
-        entries = as_table(self.entries, (len(dom),), self.size, "tern-entry-range", None)
         n = max(self.size, 0)
-        table = np.full(n**3, -1)
-        table[[(x * n + y) * n + z for x, y, z in dom]] = entries
-        object.__setattr__(self, "_table", table.reshape(n, n, n))
+        b = np.zeros(n) if self.kind == FULL else np.asarray(self.base)
+        same = b[:, None] == b
+        inside = np.broadcast_to(
+            same[:, :, None] & (same[None] if self.kind == FIBERED else True), (n,) * 3)
+        count = int(inside.sum())
+        values = as_table(self.table, (count,), self.size, "tern-entry-range",
+                          ("tern-entries-length", (np.size(self.table), count)))
+        table = np.full((n,) * 3, -1)
+        table[inside] = values
+        table.setflags(write=False)
+        object.__setattr__(self, "table", table)
 
-    def domain(self):
-        n = self.size
-        if self.kind == FULL:
-            return itertools.product(range(n), repeat=3)
-        if self.kind == FIBERED:
-            return (
-                (x, y, z)
-                for x in range(n)
-                for y in range(n)
-                if self.base[x] == self.base[y]
-                for z in range(n)
-                if self.base[y] == self.base[z]
-            )
-        return (
-            (x, y, z)
-            for x in range(n)
-            for y in range(n)
-            if self.base[x] == self.base[y]
-            for z in range(n)
-        )
+    def domain(self) -> np.ndarray:
+        """The declared domain, one triple a row, in lexicographic order."""
+        return np.argwhere(self.table >= 0)
 
     def defined(self, triple) -> bool:
-        return all(0 <= v < self.size for v in triple) and self._table[tuple(triple)] >= 0
+        return all(0 <= v < self.size for v in triple) and self.table[tuple(triple)] >= 0
 
     def __call__(self, x: int, y: int, z: int) -> int:
         if not self.defined((x, y, z)):
             raise DomainError(f"triple {(x, y, z)} outside declared domain")
-        return int(self._table[x, y, z])
+        return int(self.table[x, y, z])
 
     @classmethod
     def full_from_fn(cls, size: int, fn, name: str = "") -> "TernaryTable":
-        entries = tuple(
-            fn(x, y, z) for x, y, z in itertools.product(range(size), repeat=3)
-        )
-        return cls(size, FULL, None, entries, name)
+        return cls(size, FULL, None, [fn(*t) for t in itertools.product(range(size), repeat=3)],
+                   name)
 
     @classmethod
     def full_from_flat(cls, size: int, values, name: str = "") -> "TernaryTable":
         """From the values on the full cube, flat or of shape (size,)*3."""
-        return cls(size, FULL, None, tuple(np.ravel(values).tolist()), name)
+        return cls(size, FULL, None, values, name)
 
     @classmethod
     def from_entries(cls, size, kind, base, mapping, name: str = "") -> "TernaryTable":
         """Build from a triple->value mapping which must cover the domain
         exactly; the first entry outside it is the witness of the law
-        'tern-entry-domain'.  Coverage is decided by counting, and only the
-        first three missing triples are looked for."""
+        'tern-entry-domain'.  Coverage is decided by counting, before a
+        table is allocated, and only the first three missing triples are
+        looked for."""
         b = None if kind == FULL else tuple(base)
         for x, y, z in mapping:
             if not (0 <= min(x, y, z) and max(x, y, z) < size and (
@@ -116,27 +107,28 @@ class TernaryTable:
         fibres = Counter(b).values() if b is not None else ()
         count = (max(size, 0) ** 3 if kind == FULL else
                  sum(f * f * (size if kind == MIXED else f) for f in fibres))
-        shape = object.__new__(cls)
-        for attr, value in (("size", size), ("kind", kind), ("base", b)):
-            object.__setattr__(shape, attr, value)
         if len(mapping) < count:
-            missing = (t for t in shape.domain() if t not in mapping)
+            n = range(size)
+            domain = ((x, y, z) for x in n for y in n if kind == FULL or b[x] == b[y]
+                      for z in n if kind != FIBERED or b[y] == b[z])
+            missing = (t for t in domain if t not in mapping)
             raise InvariantViolation("tern-domain-covered", list(itertools.islice(missing, 3)))
-        return cls(size, kind, b, tuple(mapping[t] for t in shape.domain()), name)
+        # the keys are exactly the domain, so sorted they are in its order
+        return cls(size, kind, b, [v for _, v in sorted(mapping.items())], name)
 
     def to_json(self) -> dict:
         out = {"name": self.name, "size": self.size, "kind": self.kind}
         if self.base is not None:
             out["base"] = list(self.base)
-        out["entries"] = [
-            {"args": list(t), "value": self(t[0], t[1], t[2])} for t in self.domain()
-        ]
+        dom = self.domain()
+        out["entries"] = [{"args": t, "value": v}
+                          for t, v in zip(dom.tolist(), self.table[tuple(dom.T)].tolist())]
         return out
 
 
 def check_maltsev(m: TernaryTable) -> bool:
     """m(x,y,y) = x = m(y,y,x) on the declared domain."""
-    T = m._table
+    T = m.table
     return first_violation((m.size, m.size), [
         ("maltsev", lambda x, y: ((T[x, y, y] == x) | (T[x, y, y] < 0))
          & ((T[y, y, x] == x) | (T[y, y, x] < 0))),
@@ -151,7 +143,7 @@ def _associativity_failure(m: TernaryTable):
     declared domain: the same triple that evaluating the two sides in
     order would have consulted.
     """
-    T = m._table
+    T = m.table
 
     def declared(u, v, x, y, z):
         return (T[u, v, x] >= 0) & (T[x, y, z] >= 0)
@@ -179,7 +171,7 @@ def check_associative(m: TernaryTable) -> bool:
 
 def check_commutative(m: TernaryTable) -> bool:
     """m(x,y,z) = m(z,y,x) wherever both triples are declared."""
-    T = m._table
+    T = m.table
     return first_violation((m.size,) * 3, [
         ("commutative", lambda x, y, z: (T[x, y, z] < 0) | (T[z, y, x] < 0)
          | (T[x, y, z] == T[z, y, x])),
@@ -274,7 +266,7 @@ def _coequaliser_group(m: TernaryTable, base) -> TorsorGroup:
     is returned.
     """
     n = m.size
-    T = m._table
+    T = m.table
     pairs = [(x, y) for x in range(n) for y in range(n) if base[x] == base[y]]
     labels = np.arange(n * n)
     if pairs:
@@ -343,56 +335,6 @@ def torsor_to_group(m: TernaryTable) -> TorsorGroup:
     return group
 
 
-def reconstruct_table(group: TorsorGroup) -> TernaryTable:
-    """The operation (x-y)+z recovered from a torsor group."""
-    sub = group.sub
-    return TernaryTable.full_from_flat(len(sub), group.action[sub[:, :, None], np.arange(len(sub))])
-
-
-def _abstract_groups(n: int):
-    """Addition tables of the abelian groups of order n <= 4 (one per iso class)."""
-    def cyclic(k):
-        return [[(a + b) % k for b in range(k)] for a in range(k)]
-
-    if n == 4:
-        klein = [[a ^ b for b in range(4)] for a in range(4)]
-        return [cyclic(4), klein]
-    return [cyclic(n)]
-
-
-def enumerate_herds(size: int) -> tuple[TernaryTable, ...]:
-    """All associative Maltsev tables on a carrier of the given size (size <= 4).
-
-    Complete by the torsor <-> group correspondence: every such table is
-    phi^-1(phi(x) - phi(y) + phi(z)) for a group structure transported
-    along a bijection phi, so enumerating groups and bijections and
-    de-duplicating tables is exhaustive.
-    """
-    if size <= 0:
-        raise EmptyTorsor("herd carrier must be non-empty")
-    if size > 4:
-        raise InvariantViolation("herd-enumeration-cap", size)
-    tables = set()
-    for add in _abstract_groups(size):
-        neg = [0] * size
-        for a in range(size):
-            for b in range(size):
-                if add[a][b] == 0:
-                    neg[a] = b
-        for phi in itertools.permutations(range(size)):
-            inv = [0] * size
-            for i, v in enumerate(phi):
-                inv[v] = i
-            flat = tuple(
-                inv[add[add[phi[x]][neg[phi[y]]]][phi[z]]]
-                for x, y, z in itertools.product(range(size), repeat=3)
-            )
-            tables.add(flat)
-    return tuple(
-        TernaryTable.full_from_flat(size, t) for t in sorted(tables)
-    )
-
-
 @dataclass(frozen=True)
 class CentralTorsorReport:
     ok: bool
@@ -456,7 +398,7 @@ def central_torsor_check(
 
     if not check_maltsev(m_ext):
         return CentralTorsorReport(False, "maltsev identity fails", None, None)
-    P, T = np.asarray(p), m_ext._table
+    P, T = np.asarray(p), m_ext.table
     hit = first_violation((n,) * 3, [
         ("fibre", lambda x, y, z: (T[x, y, z] < 0) | (P[T[x, y, z]] == P[z])),
     ])
@@ -466,7 +408,7 @@ def central_torsor_check(
     if witness is not None:
         return CentralTorsorReport(False, "associativity fails", None, witness)
     # homomorphism condition: the mixed domain is a subalgebra of E^3
-    cols = np.array(list(m_ext.domain()), dtype=np.int64).reshape(-1, 3).T
+    cols = m_ext.domain().T
     hit = restriction_violation(alg, cols, T[tuple(cols)], T)
     if hit is not None:
         name, idx = hit

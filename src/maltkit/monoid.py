@@ -150,20 +150,6 @@ class NaturalSystemOnMonoid:
         }
 
 
-def constant_system(mon: FiniteMonoid, group: AbelianGroup, name: str = "") -> NaturalSystemOnMonoid:
-    """All fibres equal with identity actions: the natural system of a
-    constant bifunctor."""
-    ident = tuple(range(group.size))
-    n = mon.size
-    return NaturalSystemOnMonoid(
-        mon,
-        (group,) * n,
-        tuple(tuple(ident for _ in range(n)) for _ in range(n)),
-        tuple(tuple(ident for _ in range(n)) for _ in range(n)),
-        name=name or "constant",
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class MonoidExtension:
     """Surjective monoid map with fibrewise actions of the natural system.
@@ -352,9 +338,6 @@ class UntwistedReport:
     family: tuple | None  # entries ((f1, f2, f), value)
     reason: str
 
-    def family_map(self):
-        return dict(self.family) if self.family is not None else None
-
     def to_json(self):
         return {
             "found": self.found,
@@ -413,7 +396,7 @@ def check_untwisted(ext: MonoidExtension) -> UntwistedReport:
 
     def verify(fam):
         m = TernaryTable.from_entries(total.size, MIXED, proj, fam)
-        T = m._table
+        T = m.table
         over = lambda x, y, z: (T[x, y, z] < 0) | (P[T[x, y, z]] == P[z])
         equivariant = lambda g, x, y, z: (T[x, y, z] < 0) | (
             (T[tmul[g, x], tmul[g, y], tmul[g, z]] == tmul[g, T[x, y, z]])

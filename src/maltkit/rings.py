@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abgroup import AbelianGroup, extend_additive, group_from_presentation
+from .abgroup import AbelianGroup
 from .algebra import mixed_index, mixed_unindex, same_tables
 from .errors import InvariantViolation
 from .laws import as_table, first_violation, require
@@ -222,50 +222,6 @@ class LinearForm:
         }
 
 
-def tensor_over_ring(
-    ring: FiniteRing,
-    bgroup: AbelianGroup,
-    bright: np.ndarray,
-    module: LeftModule,
-):
-    """B (x)_R M for a right action `bright` of the ring on B, a (|B|, |R|)
-    table, shaped or flat.
-
-    Presented by one generator per pair (b, m) with biadditivity and
-    balance relations, collapsed by Smith normal form.  Returns the tensor
-    group and the pairing, a (|B|, |M|) array (b, m) -> element.
-    """
-    nb, nm, nr = bgroup.size, module.size, ring.size
-    badd, madd, mact = bgroup.addition, module.addition, module.action
-    bright = np.reshape(bright, (nb, nr))
-    b1, b2, m = np.indices((nb, nb, nm)).reshape(3, -1)
-    b, m1, m2 = np.indices((nb, nm, nm)).reshape(3, -1)
-    bb, r, mm = np.indices((nb, nr, nm)).reshape(3, -1)
-    # the (b, m) coordinates of the generators of each relation, +1 at the
-    # first and -1 at the others: biadditivity in b, in m, then balance
-    blocks = []
-    for pos, *negs in (((badd[b1, b2], m), (b1, m), (b2, m)),
-                       ((b, madd[m1, m2]), (b, m1), (b, m2)),
-                       ((bright[bb, r], mm), (bb, mact[r, mm]))):
-        cols = np.stack([mixed_index((nb, nm), g) for g in (pos, *negs)], axis=1)
-        rows = np.zeros((len(cols), nb * nm), dtype=np.int64)
-        np.add.at(rows, (np.arange(len(cols))[:, None], cols), [1] + [-1] * len(negs))
-        blocks.append(rows)
-    # bound generator orders so the quotient is manifestly finite
-    blocks.append(_exponent(bgroup) * np.eye(nb * nm, dtype=np.int64))
-    tensor, coords = group_from_presentation(nb * nm, np.vstack(blocks).tolist())
-    return tensor, np.reshape(coords, (nb, nm))
-
-
-def _exponent(g: AbelianGroup) -> int:
-    """The least k >= 1 with k a = 0 for every a: the lcm of the orders."""
-    a = np.arange(g.size)
-    k, v = 1, a
-    while (v != g.zero).any():
-        k, v = k + 1, g.addition[v, a]
-    return k
-
-
 @dataclass(frozen=True, eq=False)
 class DBimodule:
     """Coefficient datum over a linear form: an R-R-bimodule B, a left
@@ -358,59 +314,3 @@ class DBimodule:
             "delta": self.delta.tolist(),
             "dot": self.dot.ravel().tolist(),
         }
-
-
-def shifted_module(form: LinearForm, kmodule: LeftModule, name: str = "") -> DBimodule:
-    """The bimodule with B = 0: only the left module K survives."""
-    return DBimodule(
-        form,
-        AbelianGroup.trivial(),
-        (0,) * form.ring.size,
-        (0,) * form.ring.size,
-        kmodule,
-        (0,) * kmodule.size,
-        (0,) * form.module.size,
-        name or f"{kmodule.name}[1]",
-    )
-
-
-def cone_bimodule(
-    form: LinearForm,
-    bgroup: AbelianGroup,
-    bleft,
-    bright,
-    name: str = "",
-) -> DBimodule:
-    """The bimodule with K = B (x)_R M, dot the canonical pairing and
-    delta(b (x) m) = b * d(m)."""
-    R, M, nb = form.ring, form.module, bgroup.size
-    bleft = as_table(bleft, (R.size, nb), nb, "bimodule-left-entry", "bimodule-action-length")
-    bright = as_table(bright, (nb, R.size), nb, "bimodule-right-entry", "bimodule-action-length")
-    tensor, pair = tensor_over_ring(R, bgroup, bright, M)
-    pure = pair.ravel().tolist()  # b (x) m in (b, m) order
-    # left module structure on the tensor: r.(b (x) m) = (rb) (x) m, an
-    # additive map determined by its values on pure tensors
-    act = []
-    for r in range(R.size):
-        images = pair[bleft[r]].ravel().tolist()
-        table, conflict = extend_additive(tensor, tensor, zip(pure, images))
-        if conflict is not None:
-            raise InvariantViolation("tensor-action-ill-defined", (r, conflict))
-        if None in table:
-            raise InvariantViolation("tensor-not-generated", r)
-        act.extend(table)
-    kmod = LeftModule(R, tensor.size, tensor.addition, act, name=f"{name}-K")
-    # delta(b (x) m) = b d(m), extended additively
-    delta, conflict = extend_additive(tensor, bgroup, zip(pure, bright[:, form.d].ravel().tolist()))
-    if conflict is not None:
-        raise InvariantViolation("tensor-delta-ill-defined", conflict)
-    if None in delta:
-        raise InvariantViolation("tensor-delta-partial", tensor.size - delta.count(None))
-    return DBimodule(
-        form, bgroup, bleft, bright, kmod, delta, pair, name or "C(B)"
-    )
-
-
-def regular_bimodule(ring: FiniteRing) -> tuple[AbelianGroup, np.ndarray, np.ndarray]:
-    """R as an R-R-bimodule: (group, left action, right action)."""
-    return ring.additive_group(), ring.multiplication, ring.multiplication

@@ -116,8 +116,3 @@ class GroupTable:
                 relabel[lab] = len(relabel)
             out.append(relabel[lab])
         return tuple(out)
-
-    def subgroup_of_congruence(self, cong):
-        return frozenset(
-            x for x in range(self.n) if cong.block_index[x] == cong.block_index[self.e]
-        )

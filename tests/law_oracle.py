@@ -3,14 +3,13 @@
 Each function walks the identities of one structure in plain nested loops
 over itertools products, in the order the structure's laws are declared,
 and returns the first (law, witness) it meets, or None; the checks that
-report otherwise (linear extensions, singular extensions of forms, form
-isomorphisms, homomorphisms) keep the loops and the return values of the
-code they check, and derivations filters every pair of maps by the
-derivation laws.  The oracle reads the flat tables by index arithmetic and
-shares no code with the kernel, except that crext_report builds the induced
-group, module and bimodule through their constructors.  term_ops is the
-one-tuple-at-a-time clone enumeration that the batched
-`algebra.iter_term_ops` replaced.
+report otherwise (linear extensions, singular extensions of forms and form
+isomorphisms) keep the loops and the return values of the code they check,
+and derivations filters every pair of maps by the derivation laws.  The
+oracle reads the flat tables by index arithmetic and shares no code with
+the kernel, except that crext_report builds the induced group, module and
+bimodule through their constructors.  term_ops is the one-tuple-at-a-time
+clone enumeration that the batched `algebra.iter_term_ops` replaced.
 """
 
 import itertools
@@ -325,17 +324,6 @@ def derivations(form, bim):
              for k in kk}
     h0 = tuple(k for k in kk if all(kact(fd[m], k) == dot(delta[k], m) for m in mm))
     return der, inner, h0, len(der) // len(inner)
-
-
-def is_homomorphism(h):
-    """h.map commutes with every operation, by looping over all arguments."""
-    for op in h.source.ops:
-        top = h.target.op(op.name)
-        for args in itertools.product(range(h.source.size), repeat=op.arity):
-            mapped = tuple(h.map[a] for a in args)
-            if h.map[op.values[args]] != top.values[mapped]:
-                return False
-    return True
 
 
 def term_ops(alg, arity, budget):

@@ -7,10 +7,8 @@ from maltkit import affinity
 from maltkit.affinity import (
     AffinityOp,
     FreeAffinity,
-    TheoryWithConstants,
     abelianize,
     affinity_axiom_check,
-    all_ops,
     canonical_affinity_tables,
     canonical_maltsev,
     compose_affinity,
@@ -20,6 +18,7 @@ from maltkit.affinity import (
     pseudoconstants,
     roundtrip_check,
 )
+from corpus import TheoryWithConstants, all_ops
 from law_oracle import flat
 from maltkit.algebra import FiniteAlgebra, Operation, TermOp, term_clone
 from maltkit.catalog import dihedral_group, group_maltsev_term, symmetric_group_3

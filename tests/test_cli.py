@@ -223,6 +223,17 @@ def test_crext_and_lift_verbs(capsys):
     assert json.loads(out)["lifted"] == {"m": 0, "r": [3, 1]}
 
 
+@pytest.mark.parametrize("preimage,law,witness", [
+    ("0,9", "affinity-op-r", 9),  # once an IndexError traceback
+    ("-1,0,0", "affinity-op-m", -1),  # once wrapped round to the last element
+])
+def test_lift_preimage_outside_the_total_form(capsys, preimage, law, witness):
+    code, out = run_cli(capsys, "lift", str(DATA / "forms.lf"), f"--preimage={preimage}")
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "code": "InvariantViolation", "message": f"invariant '{law}' violated (witness: {witness})"}
+
+
 def test_monoid_verbs(capsys):
     code, out = run_cli(
         capsys, "trivial-ext", str(DATA / "monoid.ext"),

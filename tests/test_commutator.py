@@ -1,9 +1,10 @@
-import importlib
 import itertools
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import maltkit.commutator
 from maltkit.algebra import FiniteAlgebra, Operation, TermOp, product
 from maltkit.catalog import (
     cyclic_group,
@@ -21,13 +22,12 @@ from maltkit.commutator import (
     commutator,
     is_abelian,
     lower_series,
-    nilpotence_class,
     upper_series,
 )
-from maltkit.congruence import Congruence, all_congruences, cg, join, meet, quotient
+from maltkit.congruence import Congruence, cg, join, quotient
 from maltkit.errors import NotMaltsev
 
-from commutator_oracle import commutator_oracle
+from commutator_oracle import all_congruences, commutator_oracle, meet
 from group_oracle import GroupTable
 
 
@@ -175,15 +175,15 @@ def test_series_s3_not_nilpotent():
 
 def test_is_abelian_examples(z4, z4_term):
     assert is_abelian(z4, z4_term)
-    assert nilpotence_class(z4, z4_term) == 1
+    assert lower_series(z4, z4_term).class_ == 1
     d4 = dihedral_group(4)
     pd4 = group_maltsev_term(d4)
     assert not is_abelian(d4, pd4)
-    assert nilpotence_class(d4, pd4) == 2
+    assert lower_series(d4, pd4).class_ == 2
     one = FiniteAlgebra(1, (Operation("f", 2, (0,)),))
     pone = TermOp(3, (0,), ("var", 0))
     assert is_abelian(one, pone)
-    assert nilpotence_class(one, pone) == 0
+    assert lower_series(one, pone).class_ == 0
 
 
 def test_upper_equals_lower_class_everywhere():
@@ -204,7 +204,7 @@ def _group_agreement(alg, p, mul, inv, series=True):
             want = oracle.congruence_blocks(oracle.commutator_subgroup(n1, n2))
             assert got.block_index == want
     assert center(alg, p).block_index == oracle.congruence_blocks(oracle.center_subgroup())
-    assert nilpotence_class(alg, p) == oracle.nilpotency_class()
+    assert lower_series(alg, p).class_ == oracle.nilpotency_class()
     if series:
         low, up = lower_series(alg, p), upper_series(alg, p)
         assert [t.block_index for t in low.terms] == [
@@ -262,7 +262,7 @@ def test_center_and_class_of_d16():
     p = group_maltsev_term(d16)
     oracle = GroupTable(d16, "mul", "inv")
     assert center(d16, p).block_index == oracle.congruence_blocks(oracle.center_subgroup())
-    assert nilpotence_class(d16, p) == oracle.nilpotency_class() == 4
+    assert lower_series(d16, p).class_ == oracle.nilpotency_class() == 4
 
 
 def test_commutator_matches_oracle_on_d8():
@@ -277,13 +277,25 @@ def test_commutator_matches_oracle_on_d8():
 def test_is_abelian_tests_associativity_only_for_homomorphic_terms(monkeypatch, z4, z4_term):
     """D8 fails centralize(total, total), so the n^5 associativity check is
     skipped; on Z4 it runs once, for the cross-check."""
-    commutator_module = importlib.import_module("maltkit.commutator")
     calls = []
-    real = commutator_module.check_associative
-    monkeypatch.setattr(commutator_module, "check_associative",
+    real = maltkit.commutator.check_associative
+    monkeypatch.setattr(maltkit.commutator, "check_associative",
                         lambda m: calls.append(m.size) or real(m))
     d8 = dihedral_group(8)
     assert not is_abelian(d8, group_maltsev_term(d8))
     assert calls == []
     assert is_abelian(z4, z4_term)
     assert calls == [4]
+
+
+# the attributes the import system gives every package
+MODULE_ATTRIBUTES = {"__name__", "__doc__", "__package__", "__loader__", "__spec__", "__path__",
+                     "__file__", "__cached__", "__builtins__"}
+
+
+def test_package_binds_only_its_submodules():
+    """`maltkit.commutator` is the module: the package binds its imported
+    submodules and `__version__`, and re-exports nothing."""
+    bound = {k: v for k, v in vars(maltkit).items() if k not in MODULE_ATTRIBUTES}
+    assert bound.pop("__version__") and isinstance(bound["commutator"], types.ModuleType)
+    assert all(getattr(v, "__name__", None) == f"maltkit.{k}" for k, v in bound.items()), bound

@@ -9,21 +9,19 @@ from maltkit.extensions import (
     crext_check,
     enumerate_derivations,
     lift_maltsev,
-    trivial_form_extension,
 )
 from maltkit.rings import (
     FiniteRing,
     LeftModule,
     LinearForm,
-    cone_bimodule,
     cyclic_ring,
     dual_numbers_f2,
     module_over_self,
-    regular_bimodule,
-    shifted_module,
     submodule,
     zero_module,
 )
+
+from corpus import cone_bimodule, regular_bimodule, shifted_module, trivial_form_extension
 
 import law_oracle
 

@@ -14,14 +14,13 @@ import law_oracle
 from law_oracle import affinity_violation, monoid_extension_violation, ring_violation
 from maltkit.abgroup import AbelianGroup, isomorphisms
 from maltkit.affinity import affinity_axiom_check, canonical_affinity_tables, form_isomorphism
-from maltkit.algebra import FiniteAlgebra, Homomorphism, Operation, is_homomorphism
-from maltkit.catalog import two_element_semilattice
+from maltkit.algebra import FiniteAlgebra, Operation
 from maltkit.errors import DiagramError, InvariantViolation
 from maltkit.extensions import FormExtension, crext_check
 from maltkit.laws import CHUNK, _reads, first_violation
 from maltkit.monoid import (
     FiniteMonoid, MonoidExtension, NaturalSystemOnMonoid, check_linear_extension,
-    constant_system, counterexample_monoid, trivial_extension,
+    counterexample_monoid, trivial_extension,
 )
 from maltkit.rings import (
     FiniteRing, LinearForm, LeftModule, cyclic_ring, dual_numbers_f2, module_over_self, zero_module,
@@ -29,7 +28,7 @@ from maltkit.rings import (
 from maltkit.specfile import parse_files
 
 from conftest import form_corpus
-from test_commutator import SMALL_GROUPS
+from corpus import constant_system
 from test_extensions import all_form_extensions, id_form
 
 DATA = Path(__file__).parent / "data"
@@ -381,29 +380,3 @@ def test_form_isomorphism_matches_oracle(data):
     f2 = relabelled_form(f2, draw_permutation(draw, f2.ring.size),
                          draw_permutation(draw, f2.module.size))
     assert form_isomorphism(f1, f2) == law_oracle.form_isomorphism(f1, f2, isomorphisms)
-
-
-HOM_ALGEBRAS = [SMALL_GROUPS, [two_element_semilattice()]]
-
-
-@given(st.data())
-@settings(max_examples=80, deadline=None)
-def test_is_homomorphism_matches_oracle(data):
-    """Maps x -> k*x, constant maps to the unit and identities, with up to
-    two entries replaced."""
-    draw = lambda lo, hi: data.draw(st.integers(lo, hi))
-    algebras = HOM_ALGEBRAS[draw(0, 1)]
-    src, tgt = (algebras[draw(0, len(algebras) - 1)] for _ in range(2))
-    if draw(0, 1):
-        tgt = src
-    unit = tgt.ops[-1].table[0]  # e, or meet(0, 0) = 0 on the semilattice
-    k = draw(0, tgt.size - 1)
-    hmap = [
-        [(k * x) % tgt.size for x in range(src.size)],
-        [unit] * src.size,
-        [x % tgt.size for x in range(src.size)],
-    ][draw(0, 2)]
-    for _ in range(draw(0, 2)):
-        hmap[draw(0, src.size - 1)] = draw(0, tgt.size - 1)
-    h = Homomorphism(src, tgt, tuple(hmap))
-    assert is_homomorphism(h) == law_oracle.is_homomorphism(h)

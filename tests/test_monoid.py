@@ -10,11 +10,12 @@ from maltkit.monoid import (
     NaturalSystemOnMonoid,
     check_linear_extension,
     check_untwisted,
-    constant_system,
     counterexample_harness,
     counterexample_monoid,
     trivial_extension,
 )
+
+from corpus import constant_system
 
 
 def mult_monoid_2():
@@ -115,7 +116,7 @@ def test_untwisted_constant_system():
         ext = trivial_extension(mon, constant_system(mon, group))
         report = check_untwisted(ext)
         assert report.found
-        fam = report.family_map()
+        fam = dict(report.family)
         total = ext.total
 
         def minus(b, e, e2):

@@ -6,9 +6,7 @@ from maltkit.abgroup import (
     AbelianGroup,
     additive_maps,
     generating_sequence,
-    group_from_presentation,
     isomorphisms,
-    smith_normal_form,
 )
 from maltkit.errors import InvariantViolation
 from maltkit.rings import (
@@ -16,15 +14,19 @@ from maltkit.rings import (
     FiniteRing,
     LeftModule,
     LinearForm,
-    cone_bimodule,
     cyclic_ring,
     dual_numbers_f2,
     module_over_self,
+    submodule,
+    zero_module,
+)
+
+from corpus import (
+    cone_bimodule,
+    group_from_presentation,
     regular_bimodule,
     shifted_module,
-    submodule,
     tensor_over_ring,
-    zero_module,
 )
 
 

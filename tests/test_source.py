@@ -63,3 +63,69 @@ def test_table_reshape_check_finds_each_form():
     source = ("a = np.reshape(R.mul, (2, 2))\nb = np.asarray(form.d)\n"
               "c = op.values.reshape(-1)\nd = np.reshape(rows, (2, 2))\ne = np.asarray(h.map)\n")
     assert [hit.split(":")[0] for hit in table_reshapes(source)] == ["line 1", "line 2", "line 3"]
+
+
+# Top-level definitions that no `mk` verb reaches, each kept for the caller
+# outside maltkit named here; a module name stands for all its definitions.
+OUTSIDE_CALLERS = {
+    "catalog": "perfbench/workloads.py builds the benchmark's structures with it",
+    "rings.cyclic_ring": "perfbench/workloads.py",
+    "rings.dual_numbers_f2": "perfbench/workloads.py",
+    "rings.module_over_self": "perfbench/workloads.py",
+    "rings.zero_module": "perfbench/workloads.py",
+    "rings.submodule": "perfbench/workloads.py",
+    "abgroup.smith_normal_form": "perfbench/spans.py traces it by name",
+    "maltsev.central_torsor_check": "`mk decompose` (ROADMAP item 5) is to be built on it",
+    "maltsev.CentralTorsorReport": "the report of central_torsor_check",
+}
+
+
+def reachability(src: Path, allowed: dict):
+    """(unreached, needless): the top-level defs and classes reached neither
+    from `cli.main` nor from an allow-list entry, and the entries that name
+    nothing or only what `cli.main` reaches.  A reached definition reaches
+    every top-level def, class and assignment, in any module, named by a
+    name or attribute it mentions: name level, so it may only overcount."""
+    defs = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[path.stem, node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs.update(((path.stem, n.id), node) for t in targets for n in ast.walk(t)
+                            if isinstance(n, ast.Name))
+    by_name = {}
+    for key in defs:
+        by_name.setdefault(key[1], []).append(key)
+
+    def reached(roots):
+        seen, todo = set(), list(roots)
+        while todo:
+            if (key := todo.pop()) not in seen:
+                seen.add(key)
+                todo.extend(k for node in ast.walk(defs[key]) for k in by_name.get(
+                    node.id if isinstance(node, ast.Name) else getattr(node, "attr", None), ()))
+        return seen
+
+    entries = {e: [k for k in defs if e in (k[0], ".".join(k))] for e in allowed}
+    from_main = reached([("cli", "main")])
+    seen = reached([("cli", "main")] + sum(entries.values(), []))
+    unreached = sorted(".".join(k) for k, node in defs.items()
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and k not in seen)
+    return unreached, sorted(e for e, keys in entries.items() if set(keys) <= from_main)
+
+
+def test_every_definition_serves_a_verb_or_a_named_caller():
+    assert reachability(SRC, OUTSIDE_CALLERS) == ([], [])
+
+
+def test_reachability_check_finds_an_uncalled_definition(tmp_path):
+    (tmp_path / "cli.py").write_text("from .b import used\n\ndef main():\n    return used()\n")
+    (tmp_path / "b.py").write_text(
+        "LIMIT = 3\n\ndef used():\n    return helper(LIMIT)\n\ndef helper(k):\n    return k\n\n"
+        "def spare():\n    return 0\n\nclass Kept:\n    pass\n")
+    assert reachability(tmp_path, {}) == (["b.Kept", "b.spare"], [])
+    assert reachability(tmp_path, {"b.Kept": "a caller", "b.used": "a caller"}) == (
+        ["b.spare"], ["b.used"])
+    assert reachability(tmp_path, {"b": "a caller", "b.gone": "a caller"}) == ([], ["b.gone"])

@@ -96,6 +96,9 @@ def test_mixed_tern_parse():
     t = doc.terns["T"]
     assert t.kind == "mixed"
     assert t(0, 0, 1) == 1
+    assert t.to_json()["entries"][1:3] == [{"args": [0, 0, 1], "value": 1},
+                                           {"args": [1, 1, 0], "value": 0}]
+    assert serialize(doc) == text + "\n"
 
 
 def test_extension_file(tmp_path):
