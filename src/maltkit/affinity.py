@@ -197,13 +197,6 @@ class AffinityCheckReport:
     law: str | None
     witness: tuple | None
 
-    def to_json(self):
-        return {
-            "ok": self.ok,
-            "law": self.law,
-            "witness": list(self.witness) if self.witness else None,
-        }
-
 
 def affinity_axiom_check(
     form: LinearForm,

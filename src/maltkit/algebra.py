@@ -150,16 +150,6 @@ class FiniteAlgebra:
     def signature(self) -> tuple[tuple[str, int], ...]:
         return tuple((op.name, op.arity) for op in self.ops)
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "size": self.size,
-            "ops": [
-                {"name": op.name, "arity": op.arity, "table": op.table.tolist()}
-                for op in self.ops
-            ],
-        }
-
 
 def product(algebras) -> FiniteAlgebra:
     """Direct product acting coordinatewise.

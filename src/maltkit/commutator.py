@@ -169,18 +169,9 @@ def center(alg: FiniteAlgebra, p: TermOp) -> Congruence:
 
 @dataclass(frozen=True)
 class SeriesReport:
-    kind: str  # "lower" | "upper"
     terms: tuple[Congruence, ...]
     stabilized: bool
     class_: int | None
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "terms": [[list(b) for b in t.blocks()] for t in self.terms],
-            "stabilized": self.stabilized,
-            "class": self.class_,
-        }
 
 
 def lower_series(alg: FiniteAlgebra, p: TermOp, max_steps: int | None = None) -> SeriesReport:
@@ -202,7 +193,7 @@ def lower_series(alg: FiniteAlgebra, p: TermOp, max_steps: int | None = None) ->
             stabilized = True
             break
     cls = next((i for i, t in enumerate(terms) if t.is_diagonal()), None)
-    return SeriesReport("lower", tuple(terms), stabilized, cls)
+    return SeriesReport(tuple(terms), stabilized, cls)
 
 
 def upper_series(alg: FiniteAlgebra, p: TermOp, max_steps: int | None = None) -> SeriesReport:
@@ -227,7 +218,7 @@ def upper_series(alg: FiniteAlgebra, p: TermOp, max_steps: int | None = None) ->
             stabilized = True
             break
     cls = next((i for i, t in enumerate(terms) if t.is_total()), None)
-    return SeriesReport("upper", tuple(terms), stabilized, cls)
+    return SeriesReport(tuple(terms), stabilized, cls)
 
 
 def is_abelian(alg: FiniteAlgebra, p: TermOp) -> bool:

@@ -73,9 +73,6 @@ class Congruence:
             out[b].append(x)
         return out
 
-    def relation(self) -> frozenset:
-        return frozenset((a, b) for block in self.blocks() for a in block for b in block)
-
     def leq(self, other: "Congruence") -> bool:
         """Refinement order: every block of self lies inside a block of other."""
         return len(set(zip(self.block_index, other.block_index))) == self.nblocks

@@ -4,6 +4,10 @@ A TernaryTable is a candidate Maltsev operation given by explicit values.
 Its domain is either the full cube, the fibre cube of a base map p
 (p(x)=p(y)=p(z)), or the mixed domain p(x)=p(y) with z free; the mixed
 variant is what a torsor under a constant group looks like fibrewise.
+
+`central_torsor_check` is the one decision of torsor structure: `mk
+torsor-group` asks it over the one-point base and `mk untwisted-check` over
+the base monoid of an extension.
 """
 
 from __future__ import annotations
@@ -83,11 +87,6 @@ class TernaryTable:
         return int(self.table[x, y, z])
 
     @classmethod
-    def full_from_fn(cls, size: int, fn, name: str = "") -> "TernaryTable":
-        return cls(size, FULL, None, [fn(*t) for t in itertools.product(range(size), repeat=3)],
-                   name)
-
-    @classmethod
     def full_from_flat(cls, size: int, values, name: str = "") -> "TernaryTable":
         """From the values on the full cube, flat or of shape (size,)*3."""
         return cls(size, FULL, None, values, name)
@@ -115,15 +114,6 @@ class TernaryTable:
             raise InvariantViolation("tern-domain-covered", list(itertools.islice(missing, 3)))
         # the keys are exactly the domain, so sorted they are in its order
         return cls(size, kind, b, [v for _, v in sorted(mapping.items())], name)
-
-    def to_json(self) -> dict:
-        out = {"name": self.name, "size": self.size, "kind": self.kind}
-        if self.base is not None:
-            out["base"] = list(self.base)
-        dom = self.domain()
-        out["entries"] = [{"args": t, "value": v}
-                          for t, v in zip(dom.tolist(), self.table[tuple(dom.T)].tolist())]
-        return out
 
 
 def check_maltsev(m: TernaryTable) -> bool:
@@ -267,27 +257,21 @@ def _coequaliser_group(m: TernaryTable, base) -> TorsorGroup:
     """
     n = m.size
     T = m.table
-    pairs = [(x, y) for x in range(n) for y in range(n) if base[x] == base[y]]
+    P = np.asarray(base)
+    pair = (P[:, None] == P).ravel()
+    xs, ys = np.divmod(np.flatnonzero(pair), n)
     labels = np.arange(n * n)
-    if pairs:
-        xs, ys = np.array(pairs).T
-        _merge(labels, np.repeat(xs * n + ys, n), (T[xs, ys, :] * n + np.arange(n)).ravel())
-    labels = labels.tolist()
-    classes: dict[int, int] = {}
-    reps = []
-    sub = np.full((n, n), -1)
-    for x, y in pairs:
-        root = labels[x * n + y]
-        if root not in classes:
-            classes[root] = len(reps)
-            reps.append((x, y))
-        sub[x, y] = classes[root]
-    reps = np.array(reps).reshape(-1, 2)
-    g = len(reps)
+    _merge(labels, np.repeat(xs * n + ys, n), (T[xs, ys, :] * n + np.arange(n)).ravel())
+    # _merge keeps the least pair of each class as its root: classes are
+    # numbered in the order of their roots, which are their representatives
+    root = pair & (labels == np.arange(n * n))
+    sub = np.where(pair, np.cumsum(root)[labels] - 1, -1).reshape(n, n)
+    reps = np.divmod(np.flatnonzero(root), n)
+    g = len(reps[0])
     zero = int(sub[0, 0]) if n else 0
-    action = T[reps[:, 0], reps[:, 1], :]
-    add = sub[action[:, reps[:, 0]], reps[:, 1]]
-    neg = sub[reps[:, 1], reps[:, 0]]
+    action = T[reps[0], reps[1], :]
+    add = sub[action[:, reps[0]], reps[1]]
+    neg = sub[reps[1], reps[0]]
     fibre = lambda x, y: sub[x, y] >= 0
     for sizes, laws in (
         ((n,), [("classes of diagonal pairs disagree", lambda x: sub[x, x] == zero)]),
@@ -313,26 +297,23 @@ def _coequaliser_group(m: TernaryTable, base) -> TorsorGroup:
 
 
 def torsor_to_group(m: TernaryTable) -> TorsorGroup:
-    """Coequalise (x,y) ~ (m(x,y,z), z) and read off the acting group.
-
-    Sum of classes is (x-y)+(z-t) = m(x,y,z)-t, the inverse of x-y is y-x,
-    and the class of (x,y) acts by z -> m(x,y,z).  Every identity is
-    re-verified exhaustively before the group is returned, and a commutative
-    table must give an abelian group.
+    """The group under which a full-domain table is a torsor: the group of
+    `central_torsor_check` over the one-point base, whose mixed domain is
+    the whole cube.  A commutative table must give an abelian group.
     """
     n = m.size
     if n <= 0:
         raise EmptyTorsor("torsor carrier must be non-empty")
     if m.kind != FULL:
         raise NotAHerd("torsor_to_group expects a full-domain table")
-    if not check_maltsev(m):
-        raise NotAHerd("table fails the Maltsev identities")
-    if not check_associative(m):
-        raise NotAHerd("table fails associativity")
-    group = _coequaliser_group(m, (0,) * n)
-    if not group.abelian and check_commutative(m):
+    point = (0,) * n
+    report = central_torsor_check(FiniteAlgebra(n, ()), point,
+                                  TernaryTable(n, MIXED, point, m.table))
+    if not report.ok:
+        raise NotAHerd(report.reason)
+    if not report.group.abelian and check_commutative(m):
         raise InternalError("commutative table produced a non-abelian group")
-    return group
+    return report.group
 
 
 @dataclass(frozen=True)
@@ -341,14 +322,6 @@ class CentralTorsorReport:
     reason: str
     group: TorsorGroup | None
     witness: tuple | None
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "reason": self.reason,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "group": self.group.to_json() if self.group is not None else None,
-        }
 
 
 def restriction_violation(alg: FiniteAlgebra, cols, pv, ptab):
@@ -382,6 +355,10 @@ def central_torsor_check(
     once E carries structure.  On success the constant group is built as
     the quotient of E x_B E by (x,y) ~ (m(x,y,z), z) over *all* z, and the
     action identities are verified.
+
+    This is the torsor decision of `torsor_to_group` (E with no operations
+    over one point) and of `monoid.check_untwisted` (E a monoid with its
+    translations as unary operations).
     """
     n = alg.size
     p = tuple(p)
@@ -397,7 +374,7 @@ def central_torsor_check(
         raise InvariantViolation("base-map-kernel-congruence", p)
 
     if not check_maltsev(m_ext):
-        return CentralTorsorReport(False, "maltsev identity fails", None, None)
+        return CentralTorsorReport(False, "table fails the Maltsev identities", None, None)
     P, T = np.asarray(p), m_ext.table
     hit = first_violation((n,) * 3, [
         ("fibre", lambda x, y, z: (T[x, y, z] < 0) | (P[T[x, y, z]] == P[z])),
@@ -406,7 +383,7 @@ def central_torsor_check(
         return CentralTorsorReport(False, "value leaves the fibre of z", None, hit[1])
     witness = _associativity_failure(m_ext)
     if witness is not None:
-        return CentralTorsorReport(False, "associativity fails", None, witness)
+        return CentralTorsorReport(False, "table fails associativity", None, witness)
     # homomorphism condition: the mixed domain is a subalgebra of E^3
     cols = m_ext.domain().T
     hit = restriction_violation(alg, cols, T[tuple(cols)], T)

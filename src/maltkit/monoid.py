@@ -8,6 +8,11 @@ is a surjective monoid map whose fibres are free transitive D_b-sets
 satisfying the subtraction identities
 
     e1 e2 - e1 e2' = P(e1)(e2 - e2'),   e1 e2 - e1' e2 = (e1 - e1') P(e2).
+
+An extension is untwisted when a commutative family of torsor operations
+on the fibres commutes with multiplication; `check_untwisted` decides each
+candidate family by `maltsev.central_torsor_check` on the total monoid as
+an algebra of its left and right translations.
 """
 
 from __future__ import annotations
@@ -24,16 +29,15 @@ from .errors import (
     InvariantViolation,
     SearchBudgetExceeded,
 )
-from .algebra import same_tables
+from .algebra import FiniteAlgebra, Operation, same_tables
 from .laws import as_table, first_violation, require
 from .maltsev import (
     FIBERED,
     MIXED,
     TernaryTable,
     _associativity_failure,
-    check_associative,
+    central_torsor_check,
     check_commutative,
-    check_maltsev,
 )
 
 UNTWISTED_FIBER_CAP = 8
@@ -140,15 +144,6 @@ class NaturalSystemOnMonoid:
                     "natsys-mixed-compose": (b1, x, b2, d),
                 }[law])
 
-    def to_json(self):
-        return {
-            "name": self.name,
-            "monoid": self.monoid.to_json(),
-            "groups": [{"size": g.size, "add": g.addition.ravel().tolist()} for g in self.groups],
-            "left": [[m.tolist() for m in row] for row in self.left],
-            "right": [[m.tolist() for m in row] for row in self.right],
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class MonoidExtension:
@@ -187,7 +182,7 @@ class MonoidExtension:
         require((N, N), [
             ("extension-proj-hom", lambda a, b: proj[tmul[a, b]] == bmul[proj[a], proj[b]]),
         ])
-        # the fibres, and the position of each element in its fibre, for act
+        # the fibres, and the position of each element in its fibre
         fibres = tuple(np.flatnonzero(proj == b) for b in range(B))
         pos = np.zeros(N, dtype=np.int64)
         actions = []
@@ -213,17 +208,11 @@ class MonoidExtension:
                 law, (i, *ds) = hit
                 raise InvariantViolation(law, (b, *ds, int(fib[i])))
         object.__setattr__(self, "actions", tuple(actions))
-        object.__setattr__(self, "_pos", pos.tolist())
         object.__setattr__(self, "_fibres", fibres)
 
     def fiber(self, b: int) -> np.ndarray:
         """The elements over b, ascending."""
         return self._fibres[b]
-
-    def act(self, b: int, d: int, e: int) -> int:
-        if self.proj[e] != b:
-            raise ValueError(f"{e} is not in the fibre over {b}")
-        return int(self.actions[b][d, self._pos[e]])
 
     def to_json(self):
         return {
@@ -355,14 +344,15 @@ def check_untwisted(ext: MonoidExtension) -> UntwistedReport:
     phi_{b,b'}(f1 - f2) = m(f1, f2, f) - f with phi_{b,b} = id and the
     cocycle rule, so it is induced by a tuple of isomorphisms
     psi_b: D_{b0} -> D_b; the search over those tuples is therefore
-    exhaustive.  Every candidate family is verified directly against all
-    required identities before being returned.
+    exhaustive.  A candidate family is accepted when it is commutative and
+    `central_torsor_check` finds it a torsor over the base on the total
+    monoid with its left and right translations as unary operations:
+    equivariance is commuting with the translations.
     """
     pre = check_linear_extension(ext)
     if not pre.ok:
         raise InvariantViolation("untwisted-requires-linear-extension", pre.reason)
     base, total, sys_ = ext.base, ext.total, ext.system
-    proj = ext.proj.tolist()  # a list for the scalar loops
     for g in sys_.groups:
         if g.size > UNTWISTED_FIBER_CAP:
             raise SearchBudgetExceeded(
@@ -382,40 +372,25 @@ def check_untwisted(ext: MonoidExtension) -> UntwistedReport:
             )
         iso_choices.append(isos)
 
-    def build_family(psi):
+    # every fibre now has |D_b0| elements, so the fibres and actions stack
+    N, P, tmul = total.size, ext.proj, total.multiplication
+    fibres, act = np.stack(ext._fibres), np.stack(ext.actions)
+    pos = np.empty(N, dtype=np.int64)
+    pos[fibres] = np.arange(fibres.shape[1])
+    f1, f2, f = np.nonzero(np.broadcast_to((P[:, None] == P)[:, :, None], (N,) * 3))
+    proj = tuple(P.tolist())
+    translations = FiniteAlgebra(N, tuple(
+        Operation(f"{side}{g}", 1, row)
+        for side, table in (("left", tmul), ("right", tmul.T)) for g, row in enumerate(table)))
+    for psi in map(np.array, itertools.product(*iso_choices)):
         # transport f1 - f2 along psi_b^-1 then psi_{b'}
-        inverse = [np.argsort(p) for p in psi]
-        return {
-            (f1, f2, f): ext.act(proj[f], psi[proj[f]][inverse[proj[f1]][sub[f1, f2]]], f)
-            for f1 in range(total.size)
-            for f2 in ext.fiber(proj[f1]).tolist()
-            for f in range(total.size)
-        }
-
-    P, tmul = ext.proj, total.multiplication
-
-    def verify(fam):
-        m = TernaryTable.from_entries(total.size, MIXED, proj, fam)
-        T = m.table
-        over = lambda x, y, z: (T[x, y, z] < 0) | (P[T[x, y, z]] == P[z])
-        equivariant = lambda g, x, y, z: (T[x, y, z] < 0) | (
-            (T[tmul[g, x], tmul[g, y], tmul[g, z]] == tmul[g, T[x, y, z]])
-            & (T[tmul[x, g], tmul[y, g], tmul[z, g]] == tmul[T[x, y, z], g])
-        )
-        return (
-            first_violation((total.size,) * 3, [("over", over)]) is None
-            and check_maltsev(m)
-            and check_commutative(m)
-            and check_associative(m)
-            and first_violation((total.size,) * 4, [("equivariant", equivariant)]) is None
-        )
-
-    for psi in itertools.product(*iso_choices):
-        fam = build_family(psi)
-        if verify(fam):
+        inverse = np.argsort(psi, axis=1)
+        values = act[P[f], psi[P[f], inverse[P[f1], sub[f1, f2]]], pos[f]]
+        m = TernaryTable(N, MIXED, proj, values)
+        if check_commutative(m) and central_torsor_check(translations, proj, m).ok:
+            domain = map(tuple, np.transpose([f1, f2, f]).tolist())
             return UntwistedReport(
-                True, tuple(sorted(fam.items())), "untwisted family found"
-            )
+                True, tuple(zip(domain, values.tolist())), "untwisted family found")
     return UntwistedReport(False, None, "no equivariant family exists")
 
 

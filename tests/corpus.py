@@ -219,6 +219,27 @@ def constant_system(mon: FiniteMonoid, group: AbelianGroup, name: str = "") -> N
     )
 
 
+def m2_systems() -> list[NaturalSystemOnMonoid]:
+    """Every natural system on M2 = {1, 0} whose two fibres are one of Z2, Z3
+    and Z4: the four maps of the absorbing element 0 run over every choice
+    of endomorphisms, idempotent ones for its maps D_0 -> D_0 since 0.0 = 0,
+    and the systems that pass the constructor's laws are kept (7, 10 and 13
+    of them)."""
+    mon = FiniteMonoid(2, 0, (0, 1, 1, 1), name="M2")
+    out = []
+    for n in (2, 3, 4):
+        group = AbelianGroup.cyclic(n)
+        ends = [tuple(k * d % n for d in range(n)) for k in range(n)]
+        ident, idem = ends[1], [e for e in ends if all(e[v] == v for v in e)]
+        for l10, l11, r01, r11 in itertools.product(ends, idem, ends, idem):
+            try:
+                out.append(NaturalSystemOnMonoid(
+                    mon, (group, group), ((ident, ident), (l10, l11)), ((ident, r01), (ident, r11))))
+            except InvariantViolation:
+                pass
+    return out
+
+
 # --- the with-constants theory of a ring-module pair ------------------------
 
 def all_ops(form: LinearForm, arity: int):

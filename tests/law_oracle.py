@@ -9,13 +9,16 @@ and derivations filters every pair of maps by the derivation laws.  The
 oracle reads the flat tables by index arithmetic and shares no code with
 the kernel, except that crext_report builds the induced group, module and
 bimodule through their constructors.  term_ops is the one-tuple-at-a-time
-clone enumeration that the batched `algebra.iter_term_ops` replaced.
+clone enumeration that the batched `algebra.iter_term_ops` replaced, and
+untwisted_report the search of `monoid.check_untwisted` before it decided
+through `maltsev.central_torsor_check`.
 """
 
 import itertools
 
 import numpy as np
 
+from maltkit import abgroup
 from maltkit.abgroup import AbelianGroup
 from maltkit.errors import CloneBudgetExceeded, InvariantViolation
 from maltkit.rings import DBimodule, LeftModule
@@ -201,6 +204,46 @@ def linear_extension_report(ext):
                 if lhs != sys_.right[b1][b2][subs[b1][(e1, e1p)]]:
                     return False, "right subtraction identity fails", (e1, e1p, e2)
     return True, "linear extension", None
+
+
+def untwisted_report(ext):
+    """(found, family, reason) of check_untwisted on a linear extension with
+    fibres under the cap.  For each tuple of isomorphisms psi_b: D_0 -> D_b,
+    in the order `abgroup.isomorphisms` lists them, the family is a dict of
+    triples (f1, f2, f) with p(f1) = p(f2), valued (psi_{p(f)} psi_{p(f1)}^-1
+    (f1 - f2)) + f, and is checked in loops against five laws: its values lie
+    over the third argument, Maltsev, commutative, associative, and
+    equivariant under left and right multiplication."""
+    n, proj, groups = ext.total.size, ext.proj.tolist(), ext.system.groups
+    mul = _op(ext.total.multiplication, n)
+    fibres = [[e for e in range(n) if proj[e] == b] for b in range(len(groups))]
+    act = [flat(table) for table in ext.actions]  # act[b][d * |fibre| + i]
+    sub = {(act[b][d * len(fib) + i], e): d
+           for b, fib in enumerate(fibres) for d in range(groups[b].size)
+           for i, e in enumerate(fib)}
+    choices = [[tuple(range(groups[0].size))]]
+    for b in range(1, len(groups)):
+        isos = abgroup.isomorphisms(groups[0], groups[b])
+        if not isos:
+            return False, None, f"fibres over 0 and {b} are not isomorphic"
+        choices.append(isos)
+    pairs = [(x, y) for x in range(n) for y in range(n) if proj[x] == proj[y]]
+    for psi in itertools.product(*choices):
+        fam = {}
+        for (x, y), z in itertools.product(pairs, range(n)):
+            b, d = proj[z], psi[proj[x]].index(sub[(x, y)])
+            fam[(x, y, z)] = act[b][psi[b][d] * len(fibres[b]) + fibres[b].index(z)]
+        if (all(proj[v] == proj[z] for (_, _, z), v in fam.items())
+                and all(fam[(x, y, y)] == x for x, y in pairs)
+                and all(fam[(y, y, x)] == x for x, y in itertools.product(range(n), repeat=2))
+                and all(fam.get((z, y, x), v) == v for (x, y, z), v in fam.items())
+                and all(fam[(u, v, w)] == fam[(fam[(u, v, x)], y, z)]
+                        for (x, y, z), w in fam.items() for u, v in pairs)
+                and all(fam[(mul(g, x), mul(g, y), mul(g, z))] == mul(g, v)
+                        and fam[(mul(x, g), mul(y, g), mul(z, g))] == mul(v, g)
+                        for (x, y, z), v in fam.items() for g in range(n))):
+            return True, tuple(sorted(fam.items())), "untwisted family found"
+    return False, None, "no equivariant family exists"
 
 
 def form_isomorphism(f1, f2, isomorphisms):

@@ -5,7 +5,6 @@ import pytest
 
 from maltkit import affinity
 from maltkit.affinity import (
-    AffinityOp,
     FreeAffinity,
     abelianize,
     affinity_axiom_check,

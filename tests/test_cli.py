@@ -251,6 +251,16 @@ def test_monoid_verbs(capsys):
     assert json.loads(out)["found"] is False
 
 
+def test_untwisted_family_golden(capsys):
+    """M2 extended by Z2 in both fibres, with the total monoid MC: the
+    family that `untwisted-check` finds, 32 entries on the mixed domain, as
+    the search with the five laws written out printed it."""
+    code, out = run_cli(capsys, "untwisted-check", str(DATA / "untwisted.ext"))
+    assert code == 0
+    assert out == (DATA / "untwisted_check.golden").read_text()
+    assert json.loads(out)["found"] and len(json.loads(out)["family"]) == 32
+
+
 def test_counterexample_matches_golden(capsys):
     code, out = run_cli(capsys, "counterexample", "--golden")
     assert code == 0

@@ -24,7 +24,7 @@ from maltkit.commutator import (
     lower_series,
     upper_series,
 )
-from maltkit.congruence import Congruence, cg, join, quotient
+from maltkit.congruence import Congruence, cg, quotient
 from maltkit.errors import NotMaltsev
 
 from commutator_oracle import all_congruences, commutator_oracle, meet

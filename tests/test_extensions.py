@@ -1,8 +1,6 @@
-import itertools
-
 import pytest
 
-from maltkit.affinity import AffinityOp, FreeAffinity, canonical_maltsev, is_maltsev_op
+from maltkit.affinity import AffinityOp, canonical_maltsev, is_maltsev_op
 from maltkit.errors import DiagramError
 from maltkit.extensions import (
     FormExtension,
@@ -17,7 +15,6 @@ from maltkit.rings import (
     cyclic_ring,
     dual_numbers_f2,
     module_over_self,
-    submodule,
     zero_module,
 )
 

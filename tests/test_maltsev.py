@@ -6,7 +6,6 @@ import pytest
 from maltkit.algebra import FiniteAlgebra, Operation
 from maltkit.catalog import (
     cyclic_group,
-    group_maltsev_term,
     symmetric_group_3,
     two_element_semilattice,
 )
@@ -47,7 +46,8 @@ def restrict_to_fibered(m_ext):
 
 
 def group_difference_table(n):
-    return TernaryTable.full_from_fn(n, lambda x, y, z: (x - y + z) % n)
+    x, y, z = np.indices((n,) * 3)
+    return TernaryTable.full_from_flat(n, (x - y + z) % n)
 
 
 def mixed_from_fn(size, base, fn):
@@ -63,24 +63,20 @@ def test_check_maltsev_group_difference():
 
 
 def test_check_maltsev_meet_fails():
-    m = TernaryTable.full_from_fn(2, lambda x, y, z: x & y & z)
+    m = TernaryTable.full_from_flat(2, np.indices((2,) * 3).min(axis=0))
     assert not check_maltsev(m)
 
 
 def test_size_one_table():
-    m = TernaryTable.full_from_fn(1, lambda x, y, z: 0)
+    m = TernaryTable.full_from_flat(1, [0])
     assert check_maltsev(m) and check_associative(m) and check_commutative(m)
 
 
 def test_s3_difference_associative_not_commutative():
     s3 = symmetric_group_3()
-    mul = s3.op("mul")
-    inv = s3.op("inv")
-
-    def diff(x, y, z):
-        return mul.table[mul.table[x * 6 + inv.table[y]] * 6 + z]
-
-    m = TernaryTable.full_from_fn(6, diff)
+    mul, inv = s3.op("mul").values, s3.op("inv").values
+    x, y, z = np.indices((6,) * 3)
+    m = TernaryTable.full_from_flat(6, mul[mul[x, inv[y]], z])
     assert check_maltsev(m)
     assert check_associative(m)
     assert not check_commutative(m)
@@ -138,7 +134,7 @@ def test_torsor_to_group_trivial():
 
 
 def test_torsor_to_group_rejects():
-    bad = TernaryTable.full_from_fn(2, lambda x, y, z: 0)
+    bad = TernaryTable.full_from_flat(2, np.zeros((2,) * 3, dtype=int))
     with pytest.raises(NotAHerd):
         torsor_to_group(bad)
     with pytest.raises(EmptyTorsor):

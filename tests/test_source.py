@@ -8,6 +8,7 @@ import pytest
 import maltkit
 
 SRC = Path(maltkit.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -24,6 +25,8 @@ def unused_imports(path: Path) -> list[str]:
 
 
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+# the maltkit modules by name, then the test modules as tests/<name>
+SOURCES = [SRC / m for m in MODULES] + sorted(TESTS.glob("*.py"))
 
 # The table fields of the structures: each holds its table as a read-only
 # array in the shape its readers index, or (add, mul, act and table on
@@ -49,9 +52,10 @@ def table_reshapes(source: str) -> list[str]:
     return out
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_no_unused_imports(module):
-    assert unused_imports(SRC / module) == []
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: (
+    p.name if p.parent == SRC else f"tests/{p.name}"))
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -75,8 +79,6 @@ OUTSIDE_CALLERS = {
     "rings.zero_module": "perfbench/workloads.py",
     "rings.submodule": "perfbench/workloads.py",
     "abgroup.smith_normal_form": "perfbench/spans.py traces it by name",
-    "maltsev.central_torsor_check": "`mk decompose` (ROADMAP item 5) is to be built on it",
-    "maltsev.CentralTorsorReport": "the report of central_torsor_check",
 }
 
 

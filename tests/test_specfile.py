@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from maltkit.specfile import Diagnostic, SpecDocument, parse, parse_files, serialize
+from maltkit.specfile import Diagnostic, parse, parse_files, serialize
 
 DATA = Path(__file__).parent / "data"
 
@@ -96,8 +96,8 @@ def test_mixed_tern_parse():
     t = doc.terns["T"]
     assert t.kind == "mixed"
     assert t(0, 0, 1) == 1
-    assert t.to_json()["entries"][1:3] == [{"args": [0, 0, 1], "value": 1},
-                                           {"args": [1, 1, 0], "value": 0}]
+    assert t.domain().tolist() == [[0, 0, 0], [0, 0, 1], [1, 1, 0], [1, 1, 1]]
+    assert t.table[tuple(t.domain().T)].tolist() == [0, 1, 0, 1]
     assert serialize(doc) == text + "\n"
 
 
